@@ -13,7 +13,9 @@
 // --assert-counters re-runs the indexed workload and exits non-zero if the
 // ExecStats counters show the index was never probed — the regression that
 // timing alone cannot catch (a silent fallback to scan stays correct and
-// merely looks slow).
+// merely looks slow). It also gates two ratios: batch filtering at least
+// 1.5x row mode, and (on hosts with 4+ cores; skipped and recorded
+// otherwise) the 4-thread scan no slower than the 1-thread scan.
 //
 // Environment: XQDB_BENCH_ORDERS overrides the collection size (default
 // 4000 documents).
@@ -158,6 +160,8 @@ int main(int argc, char** argv) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   std::vector<Row> rows;
+  double scan4_speedup = 0;
+  std::string scan_floor = "not asserted";
 
   // --- Scan sweep: unindexed XMLEXISTS over the whole collection. -------
   {
@@ -189,6 +193,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "DETERMINISM VIOLATION at %zu threads\n", t);
         return 1;
       }
+      if (t == 4) scan4_speedup = base_ns / ns;
       rows.push_back({"scan_xmlexists", t, ns, base_ns / ns,
                       "identical results verified vs 1 thread",
                       stats.ToJson(), scan_lint});
@@ -413,6 +418,28 @@ int main(int argc, char** argv) {
                 "index_only_rows=%lld batch_speedup=%.2fx\n",
                 bs->stats.batches_executed, bs->stats.batch_rows,
                 as->stats.index_only_rows, batch_speedup);
+
+    // Intra-query parallelism must not go backwards: with 4 cores to run
+    // on, the 4-thread scan may not be slower than the 1-thread scan (a
+    // per-node lock on the name-test path made it 0.5-0.7x). No higher
+    // floor: the 4-thread speedup swings too widely between runs to pin.
+    if (hw >= 4) {
+      if (scan4_speedup < 1.0) {
+        std::fprintf(stderr,
+                     "--assert-counters FAILED: scan_xmlexists at 4 threads "
+                     "is %.2fx of 1 thread (< 1.0x)\n",
+                     scan4_speedup);
+        return 1;
+      }
+      scan_floor = "pass";
+      std::printf("assert-counters OK: scan 4 threads %.2fx of 1 thread\n",
+                  scan4_speedup);
+    } else {
+      scan_floor = "skipped: hardware_concurrency " + std::to_string(hw) +
+                   " < 4";
+      std::printf("assert-counters SKIP: scan 4-thread floor (%s)\n",
+                  scan_floor.c_str());
+    }
   }
 
   ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
@@ -422,6 +449,7 @@ int main(int argc, char** argv) {
   json += "  \"benchmark\": \"bench_parallel\",\n";
   json += "  \"orders\": " + std::to_string(OrdersFromEnv()) + ",\n";
   json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
+  json += "  \"scan_4_thread_floor\": \"" + scan_floor + "\",\n";
   json += "  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     AppendJson(&json, rows[i], i + 1 == rows.size());

@@ -163,8 +163,7 @@ bool Contains(const Pattern& index, const Pattern& query) {
 Pattern StripNamespaces(Pattern p) {
   for (auto& alt : p.alternatives) {
     for (NormStep& step : alt) {
-      step.test.ns_any = true;
-      step.test.ns_uri.clear();
+      step.test.name.ns = kAnyName;
     }
   }
   return p;

@@ -15,8 +15,8 @@ const PathStep* FinalChildNameStep(const Expr& e) {
   if (e.kind != ExprKind::kPath || e.steps.empty()) return nullptr;
   const PathStep& last = e.steps.back();
   if (!last.is_axis_step || last.axis != PathAxis::kChild ||
-      last.test.kind != NodeTestSpec::Kind::kName || last.test.ns_any ||
-      last.test.local_any) {
+      last.test.kind != NodeTestSpec::Kind::kName || last.test.name.ns_any() ||
+      last.test.name.local_any()) {
     return nullptr;
   }
   return &last;
@@ -65,10 +65,9 @@ std::optional<std::string> ComposeConstructedView(const Expr& path,
   // name the content path produces.
   const PathStep& select = path.steps[1];
   if (!select.is_axis_step || select.axis != PathAxis::kChild ||
-      select.test.kind != NodeTestSpec::Kind::kName || select.test.ns_any ||
-      select.test.local_any ||
-      select.test.ns_uri != produced->test.ns_uri ||
-      select.test.local != produced->test.local) {
+      select.test.kind != NodeTestSpec::Kind::kName ||
+      select.test.name.ns_any() || select.test.name.local_any() ||
+      select.test.name != produced->test.name) {
     return std::nullopt;
   }
   // Rebuild the remaining navigation textually: the select step's
@@ -82,19 +81,20 @@ std::optional<std::string> ComposeConstructedView(const Expr& path,
   for (size_t i = 2; i < path.steps.size(); ++i) {
     const PathStep& step = path.steps[i];
     if (!step.is_axis_step || step.test.kind != NodeTestSpec::Kind::kName ||
-        step.test.ns_any || !step.test.ns_uri.empty() ||
-        step.test.local_any) {
+        step.test.name.ns != kNoNamespace || step.test.name.local_any()) {
       return std::nullopt;
     }
+    const std::string local(
+        NamePool::Global()->LocalText(step.test.name.local));
     switch (step.axis) {
       case PathAxis::kChild:
-        rest += "/" + step.test.local;
+        rest += "/" + local;
         break;
       case PathAxis::kDescendant:
-        rest += "//" + step.test.local;
+        rest += "//" + local;
         break;
       case PathAxis::kAttribute:
-        rest += "/@" + step.test.local;
+        rest += "/@" + local;
         break;
       default:
         return std::nullopt;

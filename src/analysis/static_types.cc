@@ -163,16 +163,21 @@ std::string RenderSteps(const std::vector<NormStep>& steps) {
   for (const NormStep& s : steps) {
     out += s.skip ? "//" : "/";
     const StepTest& t = s.test;
+    const std::string local =
+        t.name.local_any()
+            ? "*"
+            : std::string(NamePool::Global()->LocalText(t.name.local));
     if (t.rank_mask == RankBit(NodeRank::kText)) {
       out += "text()";
     } else if (t.rank_mask == RankBit(NodeRank::kComment)) {
       out += "comment()";
     } else if (t.rank_mask == RankBit(NodeRank::kPi)) {
-      out += "processing-instruction(" + (t.local_any ? "" : t.local) + ")";
+      out += "processing-instruction(" +
+             (t.name.local_any() ? std::string() : local) + ")";
     } else if (t.rank_mask == RankBit(NodeRank::kAttr)) {
-      out += "@" + (t.local_any ? std::string("*") : t.local);
+      out += "@" + local;
     } else if (t.rank_mask == RankBit(NodeRank::kElem)) {
-      out += t.local_any ? std::string("*") : t.local;
+      out += local;
     } else {
       out += "node()";
     }
@@ -345,8 +350,7 @@ class Inferencer {
       const NodeTestSpec& t = step.test;
       switch (t.kind) {
         case NodeTestSpec::Kind::kName:
-          return attr ? AttributeTest(t.ns_any, t.ns_uri, t.local_any, t.local)
-                      : ElementTest(t.ns_any, t.ns_uri, t.local_any, t.local);
+          return attr ? AttributeTest(t.name) : ElementTest(t.name);
         case NodeTestSpec::Kind::kAnyNode:
           return attr ? AnyAttributeTest() : ChildNodeTest();
         case NodeTestSpec::Kind::kText:
@@ -354,7 +358,7 @@ class Inferencer {
         case NodeTestSpec::Kind::kComment:
           return attr ? StepTest{} : KindCommentTest();
         case NodeTestSpec::Kind::kPi:
-          return attr ? StepTest{} : KindPiTest(t.local.empty(), t.local);
+          return attr ? StepTest{} : KindPiTest(t.name.local);
         case NodeTestSpec::Kind::kDocument:
           return StepTest{};
       }

@@ -22,6 +22,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "DynamicError";
     case StatusCode::kUnsupported:
       return "Unsupported";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -20,6 +20,7 @@ enum class StatusCode {
   kCastError,         // Failed cast (FORG0001, FOCA0002, ...).
   kDynamicError,      // Other XQuery dynamic error (XQDY0025, FORG0006, ...).
   kUnsupported,       // Valid in the standard, outside our subset.
+  kResourceExhausted, // A fixed engine bound was reached (name pool full).
   kInternal,          // Invariant violation; a bug in xqdb itself.
 };
 
@@ -58,6 +59,9 @@ class Status {
   }
   static Status Unsupported(std::string msg) {
     return Status(StatusCode::kUnsupported, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -55,12 +55,17 @@ long long NowNs() {
 
 /// Fills the phase timings of one finished execution. On a plan-cache hit
 /// the caller passes parse_end == plan_end == t0 so parse/plan read 0 —
-/// the phases genuinely did not run. pool_tasks is metered as the delta of
-/// the process-wide dispatch counter, which over-counts when another query
-/// runs concurrently; per-query exactness would put a shared atomic on the
-/// chunk hot path, and "roughly how parallel was this?" doesn't need it.
+/// the phases genuinely did not run. `exec_cpu0` is the calling thread's
+/// CPU clock when the exec phase began; pool chunks on other threads have
+/// already merged their own CPU time into stats->cpu_ns. pool_tasks is
+/// metered as the delta of the process-wide dispatch counter, which
+/// over-counts when another query runs concurrently; per-query exactness
+/// would put a shared atomic on the chunk hot path, and "roughly how
+/// parallel was this?" doesn't need it.
 void FinishStats(ExecStats* stats, long long t0, long long parse_end,
-                 long long plan_end, long long tasks_before) {
+                 long long plan_end, long long exec_cpu0,
+                 long long tasks_before) {
+  stats->cpu_ns += ThreadCpuNs() - exec_cpu0;
   const long long t1 = NowNs();
   stats->parse_ns = parse_end - t0;
   stats->plan_ns = plan_end - parse_end;
@@ -168,13 +173,14 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
   const uint64_t catalog_version = catalog_.version();
   if (use_cache) {
     if (auto cached = query_cache_.LookupSql(sql, catalog_version)) {
+      const long long exec_cpu0 = ThreadCpuNs();
       if (plan_text != nullptr) {
         *plan_text = cached->plan.Explain(*cached->stmt.select);
       }
       auto rs = RunSelect(*cached->stmt.select, cached->plan, options);
       if (rs.ok()) {
         rs->stats.plan_cache_hits = 1;
-        FinishStats(&rs->stats, t0, t0, t0, tasks0);
+        FinishStats(&rs->stats, t0, t0, t0, exec_cpu0, tasks0);
       }
       return rs;
     }
@@ -182,6 +188,10 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
   XQDB_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
   const long long parse_end = NowNs();
   long long plan_end = parse_end;
+  // SELECT restarts the CPU clock after planning; other statements execute
+  // straight after parsing.
+  long long exec_cpu0 =
+      stmt.kind == SqlStatement::Kind::kSelect ? 0 : ThreadCpuNs();
   if (plan_text != nullptr) *plan_text = kNoPlanText;
   Result<ResultSet> rs = Status::Internal("unhandled statement kind");
   switch (stmt.kind) {
@@ -219,6 +229,7 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
       }
       if (options.force_scan) ForceScanPlan(&*plan);
       plan_end = NowNs();
+      exec_cpu0 = ThreadCpuNs();
       if (plan_text != nullptr) *plan_text = plan->Explain(*stmt.select);
       auto entry = std::make_shared<CachedSqlQuery>();
       entry->stmt = std::move(stmt);
@@ -229,7 +240,9 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
       break;
     }
   }
-  if (rs.ok()) FinishStats(&rs->stats, t0, parse_end, plan_end, tasks0);
+  if (rs.ok()) {
+    FinishStats(&rs->stats, t0, parse_end, plan_end, exec_cpu0, tasks0);
+  }
   return rs;
 }
 
@@ -290,10 +303,11 @@ Result<Database::XQueryResult> Database::ExecuteXQueryInternal(
   const uint64_t catalog_version = catalog_.version();
   if (use_cache) {
     if (auto cached = query_cache_.LookupXQuery(query, catalog_version)) {
+      const long long exec_cpu0 = ThreadCpuNs();
       auto out = RunXQuery(cached->parsed, cached->plan, options);
       if (out.ok()) {
         out->stats.plan_cache_hits = 1;
-        FinishStats(&out->stats, t0, t0, t0, tasks0);
+        FinishStats(&out->stats, t0, t0, t0, exec_cpu0, tasks0);
       }
       return out;
     }
@@ -305,13 +319,16 @@ Result<Database::XQueryResult> Database::ExecuteXQueryInternal(
   XQDB_ASSIGN_OR_RETURN(XQueryPlan plan, planner.PlanXQuery(*parsed.body));
   if (options.force_scan) ForceScanPlan(&plan);
   const long long plan_end = NowNs();
+  const long long exec_cpu0 = ThreadCpuNs();
   auto entry = std::make_shared<CachedXQuery>();
   entry->parsed = std::move(parsed);
   entry->plan = std::move(plan);
   entry->catalog_version = catalog_version;
   if (use_cache) query_cache_.InsertXQuery(query, entry);
   auto out = RunXQuery(entry->parsed, entry->plan, options);
-  if (out.ok()) FinishStats(&out->stats, t0, parse_end, plan_end, tasks0);
+  if (out.ok()) {
+    FinishStats(&out->stats, t0, parse_end, plan_end, exec_cpu0, tasks0);
+  }
   return out;
 }
 

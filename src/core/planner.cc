@@ -66,18 +66,15 @@ bool AppendCoveredStep(const PathStep& step, bool* pending_skip,
   switch (step.axis) {
     case PathAxis::kChild:
       steps->push_back(NormStep{
-          *pending_skip, ElementTest(step.test.ns_any, step.test.ns_uri,
-                                     step.test.local_any, step.test.local)});
+          *pending_skip, ElementTest(step.test.name)});
       break;
     case PathAxis::kDescendant:
       steps->push_back(NormStep{
-          true, ElementTest(step.test.ns_any, step.test.ns_uri,
-                            step.test.local_any, step.test.local)});
+          true, ElementTest(step.test.name)});
       break;
     case PathAxis::kAttribute:
       steps->push_back(NormStep{
-          *pending_skip, AttributeTest(step.test.ns_any, step.test.ns_uri,
-                                       step.test.local_any, step.test.local)});
+          *pending_skip, AttributeTest(step.test.name)});
       break;
     default:
       return false;

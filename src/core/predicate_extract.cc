@@ -14,16 +14,10 @@ namespace {
 
 using Steps = std::vector<NormStep>;
 
-bool TestsEqual(const StepTest& a, const StepTest& b) {
-  return a.rank_mask == b.rank_mask && a.ns_any == b.ns_any &&
-         a.ns_uri == b.ns_uri && a.local_any == b.local_any &&
-         a.local == b.local;
-}
-
 bool StepsEqual(const Steps& a, const Steps& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].skip != b[i].skip || !TestsEqual(a[i].test, b[i].test)) {
+    if (a[i].skip != b[i].skip || a[i].test != b[i].test) {
       return false;
     }
   }
@@ -108,7 +102,7 @@ class Extractor {
   static StepTest NonAttrTestOf(const NodeTestSpec& t) {
     switch (t.kind) {
       case NodeTestSpec::Kind::kName:
-        return ElementTest(t.ns_any, t.ns_uri, t.local_any, t.local);
+        return ElementTest(t.name);
       case NodeTestSpec::Kind::kAnyNode:
         return ChildNodeTest();
       case NodeTestSpec::Kind::kText:
@@ -116,7 +110,7 @@ class Extractor {
       case NodeTestSpec::Kind::kComment:
         return KindCommentTest();
       case NodeTestSpec::Kind::kPi:
-        return KindPiTest(t.local_any, t.local);
+        return KindPiTest(t.name.local);
       case NodeTestSpec::Kind::kDocument:
         return StepTest{};  // unsupported in this algebra
     }
@@ -126,7 +120,7 @@ class Extractor {
   static StepTest AttrTestOf(const NodeTestSpec& t) {
     switch (t.kind) {
       case NodeTestSpec::Kind::kName:
-        return AttributeTest(t.ns_any, t.ns_uri, t.local_any, t.local);
+        return AttributeTest(t.name);
       case NodeTestSpec::Kind::kAnyNode:
         return AnyAttributeTest();
       default:

@@ -7,52 +7,14 @@
 
 namespace xqdb {
 
-namespace {
-
-struct PathSymbol {
-  NodeRank rank;
-  std::string_view ns_uri;
-  std::string_view local;
-};
-
-PathSymbol SymbolOfNode(const Document& doc, NodeIdx idx) {
-  const Node& n = doc.node(idx);
-  NamePool* pool = NamePool::Global();
-  switch (n.kind) {
-    case NodeKind::kElement:
-      return {NodeRank::kElem, pool->NamespaceOf(n.name),
-              pool->LocalOf(n.name)};
-    case NodeKind::kAttribute:
-      return {NodeRank::kAttr, pool->NamespaceOf(n.name),
-              pool->LocalOf(n.name)};
-    case NodeKind::kText:
-      return {NodeRank::kText, "", ""};
-    case NodeKind::kComment:
-      return {NodeRank::kComment, "", ""};
-    case NodeKind::kProcessingInstruction:
-      return {NodeRank::kPi, "", pool->LocalOf(n.name)};
-    case NodeKind::kDocument:
-      break;
-  }
-  return {NodeRank::kElem, "", ""};
-}
-
-}  // namespace
-
-PathSummary::TrieNode* PathSummary::Child(TrieNode* parent, NodeRank rank,
-                                          std::string_view ns_uri,
-                                          std::string_view local,
-                                          bool create) {
+PathSummary::TrieNode* PathSummary::Child(TrieNode* parent,
+                                          const PathSymbol& sym, bool create) {
   for (const auto& c : parent->children) {
-    if (c->rank == rank && c->ns_uri == ns_uri && c->local == local) {
-      return c.get();
-    }
+    if (c->sym == sym) return c.get();
   }
   if (!create) return nullptr;
   auto node = std::make_unique<TrieNode>();
-  node->rank = rank;
-  node->ns_uri = std::string(ns_uri);
-  node->local = std::string(local);
+  node->sym = sym;
   parent->children.push_back(std::move(node));
   return parent->children.back().get();
 }
@@ -78,9 +40,7 @@ void PathSummary::AddDocument(uint32_t row, const Document& doc) {
   while (idx < count) {
     while (!stack.empty() && stack.back().end <= idx) stack.pop_back();
     TrieNode* parent = stack.empty() ? &root_ : stack.back().node;
-    PathSymbol sym = SymbolOfNode(doc, idx);
-    TrieNode* node =
-        Child(parent, sym.rank, sym.ns_uri, sym.local, /*create=*/true);
+    TrieNode* node = Child(parent, SymbolOf(doc.node(idx)), /*create=*/true);
     if (node->rows.empty()) ++path_count_;
     ++node->rows[row];
     const NodeIdx end = doc.subtree_end(idx);
@@ -108,9 +68,7 @@ void PathSummary::RemoveDocument(uint32_t row, const Document& doc) {
   while (idx < count) {
     while (!stack.empty() && stack.back().end <= idx) stack.pop_back();
     TrieNode* parent = stack.empty() ? &root_ : stack.back().node;
-    PathSymbol sym = SymbolOfNode(doc, idx);
-    TrieNode* node =
-        Child(parent, sym.rank, sym.ns_uri, sym.local, /*create=*/false);
+    TrieNode* node = Child(parent, SymbolOf(doc.node(idx)), /*create=*/false);
     if (node == nullptr) {
       // Unknown path: the caller is removing a document that was never
       // added. Skip the subtree rather than corrupting counts.
@@ -153,8 +111,7 @@ std::vector<uint32_t> PathSummary::MatchRows(const PatternNfa& nfa,
     }
     const TrieNode* child = f.node->children[f.next_child++].get();
     if (child->rows.empty()) continue;  // dead path (all docs removed)
-    PatternNfa::StateSet next =
-        nfa.Advance(f.states, child->rank, child->ns_uri, child->local);
+    PatternNfa::StateSet next = nfa.Advance(f.states, child->sym);
     if (next == 0) {
       if (stats != nullptr) ++stats->pruned_paths;
       continue;
@@ -186,8 +143,7 @@ bool PathSummary::AnyPathMatches(const PatternNfa& nfa,
     }
     const TrieNode* child = f.node->children[f.next_child++].get();
     if (child->rows.empty()) continue;
-    PatternNfa::StateSet next =
-        nfa.Advance(f.states, child->rank, child->ns_uri, child->local);
+    PatternNfa::StateSet next = nfa.Advance(f.states, child->sym);
     if (next == 0) {
       if (stats != nullptr) ++stats->pruned_paths;
       continue;
@@ -225,8 +181,12 @@ size_t EditDistance(const std::string& a, const std::string& b, size_t cap) {
   return row[m] > cap ? big : row[m];
 }
 
-std::string RenderTrieSymbol(NodeRank rank, const std::string& local) {
-  switch (rank) {
+std::string RenderTrieSymbol(const PathSymbol& sym) {
+  std::string local;
+  if (sym.rank != NodeRank::kText && sym.rank != NodeRank::kComment) {
+    local = NamePool::Global()->LocalText(sym.name.local);
+  }
+  switch (sym.rank) {
     case NodeRank::kElem:
       return "/" + local;
     case NodeRank::kAttr:
@@ -265,7 +225,7 @@ std::string PathSummary::NearestLivePath(const std::string& target,
     }
     const TrieNode* child = f.node->children[f.next_child++].get();
     if (child->rows.empty()) continue;  // dead path
-    std::string path = f.path + RenderTrieSymbol(child->rank, child->local);
+    std::string path = f.path + RenderTrieSymbol(child->sym);
     ++seen;
     size_t d = EditDistance(path, target, best_dist - 1);
     if (d < best_dist) {
@@ -300,13 +260,9 @@ bool PathSummary::MatchedPathsCoveredBy(const PatternNfa& query,
     }
     const TrieNode* child = f.node->children[f.next_child++].get();
     if (child->rows.empty()) continue;
-    PatternNfa::StateSet q =
-        query.Advance(f.query_states, child->rank, child->ns_uri,
-                      child->local);
+    PatternNfa::StateSet q = query.Advance(f.query_states, child->sym);
     if (q == 0) continue;  // query reaches nothing below; coverage vacuous
-    PatternNfa::StateSet c =
-        cover.Advance(f.cover_states, child->rank, child->ns_uri,
-                      child->local);
+    PatternNfa::StateSet c = cover.Advance(f.cover_states, child->sym);
     // The trie node IS a stored path word: if the query accepts it the
     // cover must too, or some node the query can reach is missing from an
     // index built on the cover pattern.

@@ -95,9 +95,9 @@ class PathSummary {
 
  private:
   struct TrieNode {
-    NodeRank rank = NodeRank::kElem;
-    std::string ns_uri;
-    std::string local;
+    /// Trie key: rank plus the name's interned parts (which identify its
+    /// NameId one to one), so lookups and NFA steps compare integers.
+    PathSymbol sym;
     /// row id -> number of nodes in that row's document with exactly this
     /// path word. Empty = dead path (and, since a parent element node is
     /// itself an occurrence of the prefix path, a dead node's whole
@@ -107,8 +107,7 @@ class PathSummary {
   };
 
   /// Finds (optionally creates) the child of `parent` for one path symbol.
-  TrieNode* Child(TrieNode* parent, NodeRank rank, std::string_view ns_uri,
-                  std::string_view local, bool create);
+  TrieNode* Child(TrieNode* parent, const PathSymbol& sym, bool create);
 
   // Guards everything below (by convention — the trie is walked through
   // raw TrieNode pointers the annotation pass cannot attribute to mu_).

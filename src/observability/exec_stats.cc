@@ -1,5 +1,7 @@
 #include "observability/exec_stats.h"
 
+#include <time.h>
+
 #include <cstdio>
 
 namespace xqdb {
@@ -38,10 +40,17 @@ constexpr Field kTimings[] = {
     {"parse_ns", &ExecStats::parse_ns},
     {"plan_ns", &ExecStats::plan_ns},
     {"exec_ns", &ExecStats::exec_ns},
+    {"cpu_ns", &ExecStats::cpu_ns},
     {"total_ns", &ExecStats::total_ns},
 };
 
 }  // namespace
+
+long long ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<long long>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
+}
 
 std::string ExecStats::ToJson() const {
   std::string out = "{";
@@ -69,11 +78,12 @@ std::string ExecStats::Render() const {
     out += f.name;
     out += " = " + std::to_string(v) + "\n";
   }
-  char buf[128];
+  char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "    time: parse %.1f us, plan %.1f us, exec %.1f us, "
-                "total %.1f us\n",
-                parse_ns / 1e3, plan_ns / 1e3, exec_ns / 1e3, total_ns / 1e3);
+                "    time: parse %.1f us, plan %.1f us, exec %.1f us "
+                "(cpu %.1f us), total %.1f us\n",
+                parse_ns / 1e3, plan_ns / 1e3, exec_ns / 1e3, cpu_ns / 1e3,
+                total_ns / 1e3);
   out += buf;
   return out;
 }

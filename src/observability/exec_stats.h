@@ -2,6 +2,7 @@
 #define XQDB_OBSERVABILITY_EXEC_STATS_H_
 
 #include <string>
+#include <thread>
 
 namespace xqdb {
 
@@ -63,6 +64,12 @@ struct ExecStats {
   long long plan_ns = 0;
   long long exec_ns = 0;
   long long total_ns = 0;
+  /// Thread CPU time of the exec phase: the calling thread's, plus every
+  /// pool chunk that ran on another thread. Against exec_ns it shows what
+  /// wall time hides: CPU above wall is parallelism, and CPU inflated under
+  /// concurrency (cache-line traffic on a shared lock word) never blocks,
+  /// so it shows up nowhere else.
+  long long cpu_ns = 0;
 
   /// Folds a worker chunk's counters into this one (parallel scans keep
   /// per-chunk ExecStats and sum them after the join, so no counter is
@@ -90,6 +97,7 @@ struct ExecStats {
     plan_ns += o.plan_ns;
     exec_ns += o.exec_ns;
     total_ns += o.total_ns;
+    cpu_ns += o.cpu_ns;
   }
 
   /// One-line JSON object (trace sink, xqdiff divergence reports,
@@ -99,6 +107,29 @@ struct ExecStats {
   /// Multi-line "  counter = value" block (EXPLAIN ANALYZE rendering).
   /// Zero-valued counters are elided; timings print in microseconds.
   std::string Render() const;
+};
+
+/// CPU time consumed so far by the calling thread (CLOCK_THREAD_CPUTIME_ID),
+/// in nanoseconds.
+long long ThreadCpuNs();
+
+/// Scoped meter for one pool chunk: adds the chunk's thread CPU time to
+/// `stats->cpu_ns`, unless the chunk runs on `caller` (ParallelFor lets the
+/// calling thread help), whose own exec-phase CPU already covers it.
+class ChunkCpuMeter {
+ public:
+  ChunkCpuMeter(ExecStats* stats, std::thread::id caller)
+      : stats_(std::this_thread::get_id() == caller ? nullptr : stats),
+        start_(stats_ == nullptr ? 0 : ThreadCpuNs()) {}
+  ~ChunkCpuMeter() {
+    if (stats_ != nullptr) stats_->cpu_ns += ThreadCpuNs() - start_;
+  }
+  ChunkCpuMeter(const ChunkCpuMeter&) = delete;
+  ChunkCpuMeter& operator=(const ChunkCpuMeter&) = delete;
+
+ private:
+  ExecStats* stats_;
+  long long start_;
 };
 
 }  // namespace xqdb

@@ -84,18 +84,15 @@ bool AppendStep(const PathStep& step, bool* pending_skip,
   switch (step.axis) {
     case PathAxis::kChild:
       steps->push_back(NormStep{
-          *pending_skip, ElementTest(step.test.ns_any, step.test.ns_uri,
-                                     step.test.local_any, step.test.local)});
+          *pending_skip, ElementTest(step.test.name)});
       break;
     case PathAxis::kDescendant:
       steps->push_back(NormStep{
-          true, ElementTest(step.test.ns_any, step.test.ns_uri,
-                            step.test.local_any, step.test.local)});
+          true, ElementTest(step.test.name)});
       break;
     case PathAxis::kAttribute:
       steps->push_back(NormStep{
-          *pending_skip, AttributeTest(step.test.ns_any, step.test.ns_uri,
-                                       step.test.local_any, step.test.local)});
+          *pending_skip, AttributeTest(step.test.name)});
       break;
     default:
       return false;
@@ -215,12 +212,9 @@ std::optional<BatchKernel> CompileConjunct(
       op = FlipCompareOp(compare->cmp_op);
       if (operand == nullptr || !constant.has_value()) return std::nullopt;
     }
-    StepTest t =
-        operand->axis == PathAxis::kAttribute
-            ? AttributeTest(operand->test.ns_any, operand->test.ns_uri,
-                            operand->test.local_any, operand->test.local)
-            : ElementTest(operand->test.ns_any, operand->test.ns_uri,
-                          operand->test.local_any, operand->test.local);
+    StepTest t = operand->axis == PathAxis::kAttribute
+                     ? AttributeTest(operand->test.name)
+                     : ElementTest(operand->test.name);
     steps.push_back(NormStep{false, t});
     kernel.has_compare = true;
     kernel.op = op;

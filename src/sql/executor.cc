@@ -400,8 +400,10 @@ Result<std::vector<std::vector<SqlValue>>> SqlExecutor::FilterRows(
     Status error = Status::OK();
   };
   std::vector<ChunkOut> outs(chunks);
+  const std::thread::id caller = std::this_thread::get_id();
   pool.ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
     ChunkOut& out = outs[lo / grain];
+    ChunkCpuMeter cpu(&out.stats, caller);
     QueryRuntime chunk_runtime;
     out.error = use_batch
                     ? FilterChunkBatch(program, schema, rows, lo, hi,
@@ -456,8 +458,10 @@ Result<size_t> SqlExecutor::RunDelete(const DeleteStmt& stmt,
       Status error = Status::OK();
     };
     std::vector<ChunkOut> outs(chunks);
+    const std::thread::id caller = std::this_thread::get_id();
     pool.ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
       ChunkOut& out = outs[lo / grain];
+      ChunkCpuMeter cpu(&out.stats, caller);
       QueryRuntime runtime;
       for (size_t r = lo; r < hi; ++r) {
         uint32_t rid = static_cast<uint32_t>(r);

@@ -130,6 +130,14 @@ class XmlParser {
     return std::string(in_.substr(start, pos_ - start));
   }
 
+  /// Interns a name, failing visibly when the pool is full.
+  static Result<NameId> InternName(std::string_view ns_uri,
+                                   std::string_view local) {
+    NameId id = NamePool::Global()->Intern(ns_uri, local);
+    if (id == kInvalidName) return NamePool::FullError();
+    return id;
+  }
+
   /// Resolves "p:local" against in-scope bindings. `for_attribute`
   /// suppresses the default namespace per the XML Namespaces rec (and the
   /// paper's §3.7 note that default namespaces do not apply to attributes).
@@ -143,19 +151,13 @@ class XmlParser {
       local = qname.substr(colon + 1);
     }
     if (prefix.empty()) {
-      if (for_attribute) {
-        return NamePool::Global()->Intern("", local);
-      }
-      return NamePool::Global()->Intern(DefaultNamespace(), local);
+      return InternName(for_attribute ? "" : DefaultNamespace(), local);
     }
     if (prefix == "xml") {
-      return NamePool::Global()->Intern(
-          "http://www.w3.org/XML/1998/namespace", local);
+      return InternName("http://www.w3.org/XML/1998/namespace", local);
     }
     for (auto it = ns_stack_.rbegin(); it != ns_stack_.rend(); ++it) {
-      if (it->prefix == prefix) {
-        return NamePool::Global()->Intern(it->uri, local);
-      }
+      if (it->prefix == prefix) return InternName(it->uri, local);
     }
     return Status::ParseError("undeclared namespace prefix '" +
                               std::string(prefix) + "' at " + Location());
@@ -307,8 +309,8 @@ class XmlParser {
             return Status::ParseError("unterminated processing instruction");
           }
           std::string content(TrimWhitespace(in_.substr(pos_, end - pos_)));
-          doc_->AddProcessingInstruction(
-              parent, NamePool::Global()->Intern("", target), content);
+          XQDB_ASSIGN_OR_RETURN(NameId pi_name, InternName("", target));
+          doc_->AddProcessingInstruction(parent, pi_name, content);
           pos_ = end + 2;
           continue;
         }

@@ -1,8 +1,6 @@
 #include "xpath/containment.h"
 
-#include <map>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,26 +10,19 @@ namespace xqdb {
 
 namespace {
 
-/// Sentinels guaranteed distinct from any real name (real names cannot
-/// contain \x02).
-const char kFreshNs[] = "\x02ns";
-const char kFreshLocal[] = "\x02local";
+/// An id no interned name ever gets: the "any other name" letter of the
+/// abstract alphabet (distinct from kAnyName and kInvalidName too).
+constexpr int32_t kFreshId = -3;
 
-void CollectNames(const Pattern& p, std::set<std::string>* ns_set,
-                  std::set<std::string>* local_set) {
+void CollectNames(const Pattern& p, std::set<NsId>* ns_set,
+                  std::set<LocalId>* local_set) {
   for (const auto& alt : p.alternatives) {
     for (const NormStep& step : alt) {
-      if (!step.test.ns_any) ns_set->insert(step.test.ns_uri);
-      if (!step.test.local_any) local_set->insert(step.test.local);
+      if (!step.test.name.ns_any()) ns_set->insert(step.test.name.ns);
+      if (!step.test.name.local_any()) local_set->insert(step.test.name.local);
     }
   }
 }
-
-struct AbstractSymbol {
-  NodeRank rank;
-  const std::string* ns_uri;
-  const std::string* local;
-};
 
 }  // namespace
 
@@ -43,27 +34,26 @@ Result<bool> PatternContains(const Pattern& index, const Pattern& query) {
   XQDB_ASSIGN_OR_RETURN(PatternNfa qn, PatternNfa::Compile(query));
   XQDB_ASSIGN_OR_RETURN(PatternNfa in, PatternNfa::Compile(index));
 
-  // Abstract alphabet.
-  std::set<std::string> ns_set, local_set;
+  // Abstract alphabet: every name id either pattern mentions, plus one
+  // fresh id per part standing for every other name.
+  std::set<NsId> ns_set{kFreshId};
+  std::set<LocalId> local_set{kFreshId};
   CollectNames(index, &ns_set, &local_set);
   CollectNames(query, &ns_set, &local_set);
-  ns_set.insert(kFreshNs);
-  local_set.insert(kFreshLocal);
 
-  std::vector<AbstractSymbol> alphabet;
-  for (const std::string& ns : ns_set) {
-    for (const std::string& local : local_set) {
-      alphabet.push_back({NodeRank::kElem, &ns, &local});
-      alphabet.push_back({NodeRank::kAttr, &ns, &local});
+  std::vector<PathSymbol> alphabet;
+  for (NsId ns : ns_set) {
+    for (LocalId local : local_set) {
+      alphabet.push_back({NodeRank::kElem, {ns, local}});
+      alphabet.push_back({NodeRank::kAttr, {ns, local}});
     }
   }
-  // PI targets are (empty-ns, local); text/comment are unnamed.
-  static const std::string kEmpty;
-  for (const std::string& local : local_set) {
-    alphabet.push_back({NodeRank::kPi, &kEmpty, &local});
+  // PI targets are (no-namespace, local); text/comment are unnamed.
+  for (LocalId local : local_set) {
+    alphabet.push_back({NodeRank::kPi, {kNoNamespace, local}});
   }
-  alphabet.push_back({NodeRank::kText, &kEmpty, &kEmpty});
-  alphabet.push_back({NodeRank::kComment, &kEmpty, &kEmpty});
+  alphabet.push_back({NodeRank::kText, {}});
+  alphabet.push_back({NodeRank::kComment, {}});
 
   // Product BFS: pairs (query state set, index state set). The query side
   // stays a nondeterministic *set* too: a word is accepted by the query iff
@@ -89,10 +79,10 @@ Result<bool> PatternContains(const Pattern& index, const Pattern& query) {
   while (!frontier.empty()) {
     PairKey cur = frontier.back();
     frontier.pop_back();
-    for (const AbstractSymbol& sym : alphabet) {
-      uint64_t nq = qn.Advance(cur.first, sym.rank, *sym.ns_uri, *sym.local);
+    for (const PathSymbol& sym : alphabet) {
+      uint64_t nq = qn.Advance(cur.first, sym);
       if (nq == 0) continue;  // Dead for the query: cannot extend to a match.
-      uint64_t ni = in.Advance(cur.second, sym.rank, *sym.ns_uri, *sym.local);
+      uint64_t ni = in.Advance(cur.second, sym);
       if (check(nq, ni)) return false;
       PairKey next{nq, ni};
       if (visited.insert(next).second) frontier.push_back(next);

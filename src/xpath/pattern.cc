@@ -5,104 +5,60 @@
 
 namespace xqdb {
 
+namespace {
+
+/// Intersection of two id constraints, each exact or kAnyName; false when
+/// two different exact ids conflict.
+bool IntersectPart(int32_t a, int32_t b, int32_t* out) {
+  if (a == kAnyName) {
+    *out = b;
+  } else if (b == kAnyName || a == b) {
+    *out = a;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 StepTest IntersectTests(const StepTest& a, const StepTest& b) {
   StepTest out;
   out.rank_mask = a.rank_mask & b.rank_mask;
   if (out.rank_mask == 0) return out;
-  // Namespace constraint.
-  if (a.ns_any) {
-    out.ns_any = b.ns_any;
-    out.ns_uri = b.ns_uri;
-  } else if (b.ns_any) {
-    out.ns_any = false;
-    out.ns_uri = a.ns_uri;
-  } else if (a.ns_uri == b.ns_uri) {
-    out.ns_any = false;
-    out.ns_uri = a.ns_uri;
-  } else {
-    out.rank_mask = 0;  // Conflicting exact namespaces.
-    return out;
-  }
-  // Local-name constraint.
-  if (a.local_any) {
-    out.local_any = b.local_any;
-    out.local = b.local;
-  } else if (b.local_any) {
-    out.local_any = false;
-    out.local = a.local;
-  } else if (a.local == b.local) {
-    out.local_any = false;
-    out.local = a.local;
-  } else {
-    out.rank_mask = 0;
-    return out;
+  if (!IntersectPart(a.name.ns, b.name.ns, &out.name.ns) ||
+      !IntersectPart(a.name.local, b.name.local, &out.name.local)) {
+    out.rank_mask = 0;  // conflicting exact names
   }
   return out;
 }
 
-StepTest ElementTest(bool ns_any, std::string ns_uri, bool local_any,
-                     std::string local) {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kElem);
-  t.ns_any = ns_any;
-  t.ns_uri = std::move(ns_uri);
-  t.local_any = local_any;
-  t.local = std::move(local);
-  return t;
+StepTest ElementTest(NameTest name) {
+  return StepTest{RankBit(NodeRank::kElem), name};
 }
 
-StepTest AttributeTest(bool ns_any, std::string ns_uri, bool local_any,
-                       std::string local) {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kAttr);
-  t.ns_any = ns_any;
-  t.ns_uri = std::move(ns_uri);
-  t.local_any = local_any;
-  t.local = std::move(local);
-  return t;
+StepTest AttributeTest(NameTest name) {
+  return StepTest{RankBit(NodeRank::kAttr), name};
 }
 
-StepTest KindTextTest() {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kText);
-  t.ns_any = true;
-  t.local_any = true;
-  return t;
-}
+StepTest KindTextTest() { return StepTest{RankBit(NodeRank::kText), {}}; }
 
 StepTest KindCommentTest() {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kComment);
-  t.ns_any = true;
-  t.local_any = true;
-  return t;
+  return StepTest{RankBit(NodeRank::kComment), {}};
 }
 
-StepTest KindPiTest(bool target_any, std::string target) {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kPi);
-  t.ns_any = true;
-  t.local_any = target_any;
-  t.local = std::move(target);
-  return t;
+StepTest KindPiTest(LocalId target) {
+  return StepTest{RankBit(NodeRank::kPi), NameTest{kAnyName, target}};
 }
 
 StepTest ChildNodeTest() {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kElem) | RankBit(NodeRank::kText) |
-                RankBit(NodeRank::kComment) | RankBit(NodeRank::kPi);
-  t.ns_any = true;
-  t.local_any = true;
-  return t;
+  return StepTest{static_cast<uint8_t>(
+                      RankBit(NodeRank::kElem) | RankBit(NodeRank::kText) |
+                      RankBit(NodeRank::kComment) | RankBit(NodeRank::kPi)),
+                  {}};
 }
 
-StepTest AnyAttributeTest() {
-  StepTest t;
-  t.rank_mask = RankBit(NodeRank::kAttr);
-  t.ns_any = true;
-  t.local_any = true;
-  return t;
-}
+StepTest AnyAttributeTest() { return StepTest{RankBit(NodeRank::kAttr), {}}; }
 
 Pattern MakePattern(std::vector<std::vector<NormStep>> alternatives) {
   Pattern p;
@@ -121,12 +77,11 @@ enum class PatternAxis {
 };
 
 /// The raw node test as written, before axis-specific rank restriction.
+/// Unprefixed names carry kNoNamespace until the axis decides whether the
+/// default element namespace applies.
 struct RawTest {
   enum class Kind { kName, kAnyKindNode, kText, kComment, kPi } kind;
-  bool ns_any = false;
-  std::string ns_uri;
-  bool local_any = false;
-  std::string local;  // PI target for kPi.
+  NameTest name;  // local = PI target for kPi
 };
 
 class PatternParser {
@@ -246,7 +201,8 @@ class PatternParser {
           return Status::ParseError("expected 'namespace'");
         }
         XQDB_ASSIGN_OR_RETURN(std::string uri, ParseStringLiteral());
-        default_ns_ = std::move(uri);
+        XQDB_ASSIGN_OR_RETURN(default_ns_,
+                              NamePool::Global()->InternNamespace(uri));
       } else if (Consume("namespace")) {
         XQDB_ASSIGN_OR_RETURN(std::string prefix, ParseNCName());
         SkipWs();
@@ -254,7 +210,8 @@ class PatternParser {
           return Status::ParseError("expected '=' in namespace declaration");
         }
         XQDB_ASSIGN_OR_RETURN(std::string uri, ParseStringLiteral());
-        prefixes_[prefix] = std::move(uri);
+        XQDB_ASSIGN_OR_RETURN(prefixes_[prefix],
+                              NamePool::Global()->InternNamespace(uri));
       } else {
         pos_ = mark;
         return Status::OK();
@@ -305,19 +262,15 @@ class PatternParser {
       return Status::ParseError(
           "predicates are not allowed in index patterns");
     }
+    NamePool* pool = NamePool::Global();
     if (Peek() == '*') {
       ++pos_;
+      t.kind = RawTest::Kind::kName;
       if (!AtEnd() && Peek() == ':') {
         ++pos_;
         XQDB_ASSIGN_OR_RETURN(std::string local, ParseNCName());
-        t.kind = RawTest::Kind::kName;
-        t.ns_any = true;
-        t.local = std::move(local);
-        return t;
+        XQDB_ASSIGN_OR_RETURN(t.name.local, pool->InternLocal(local));
       }
-      t.kind = RawTest::Kind::kName;
-      t.ns_any = true;
-      t.local_any = true;
       return t;
     }
     XQDB_ASSIGN_OR_RETURN(std::string first, ParseNCName());
@@ -335,9 +288,7 @@ class PatternParser {
         SkipWs();
         if (!AtEnd() && Peek() != ')') {
           XQDB_ASSIGN_OR_RETURN(std::string target, ParseNCName());
-          t.local = std::move(target);
-        } else {
-          t.local_any = true;
+          XQDB_ASSIGN_OR_RETURN(t.name.local, pool->InternLocal(target));
         }
       } else {
         return Status::ParseError("unknown kind test '" + first + "()'");
@@ -349,30 +300,28 @@ class PatternParser {
       ++pos_;
       return t;
     }
+    t.kind = RawTest::Kind::kName;
     if (!AtEnd() && Peek() == ':' && pos_ + 1 < in_.size() &&
         in_[pos_ + 1] != ':') {
       ++pos_;
-      t.kind = RawTest::Kind::kName;
       auto it = prefixes_.find(first);
       if (it == prefixes_.end()) {
         return Status::ParseError("undeclared namespace prefix '" + first +
                                   "' in index pattern");
       }
-      t.ns_uri = it->second;
+      t.name.ns = it->second;
       if (!AtEnd() && Peek() == '*') {
         ++pos_;
-        t.local_any = true;
       } else {
         XQDB_ASSIGN_OR_RETURN(std::string local, ParseNCName());
-        t.local = std::move(local);
+        XQDB_ASSIGN_OR_RETURN(t.name.local, pool->InternLocal(local));
       }
       return t;
     }
-    t.kind = RawTest::Kind::kName;
-    t.local = std::move(first);
     // Namespace of an unprefixed name test is resolved per axis later:
     // default element namespace for element steps, empty for attributes.
-    t.ns_uri = "";
+    t.name.ns = kNoNamespace;
+    XQDB_ASSIGN_OR_RETURN(t.name.local, pool->InternLocal(first));
     return t;
   }
 
@@ -381,10 +330,9 @@ class PatternParser {
   StepTest NonAttrRestrict(const RawTest& t) const {
     switch (t.kind) {
       case RawTest::Kind::kName: {
-        bool unprefixed_default = !t.ns_any && t.ns_uri.empty();
-        return ElementTest(t.ns_any,
-                           unprefixed_default ? default_ns_ : t.ns_uri,
-                           t.local_any, t.local);
+        NameTest name = t.name;
+        if (name.ns == kNoNamespace) name.ns = default_ns_;
+        return ElementTest(name);
       }
       case RawTest::Kind::kAnyKindNode:
         return ChildNodeTest();
@@ -393,7 +341,7 @@ class PatternParser {
       case RawTest::Kind::kComment:
         return KindCommentTest();
       case RawTest::Kind::kPi:
-        return KindPiTest(t.local_any, t.local);
+        return KindPiTest(t.name.local);
     }
     return StepTest{};
   }
@@ -403,7 +351,7 @@ class PatternParser {
   StepTest AttrRestrict(const RawTest& t) const {
     switch (t.kind) {
       case RawTest::Kind::kName:
-        return AttributeTest(t.ns_any, t.ns_uri, t.local_any, t.local);
+        return AttributeTest(t.name);
       case RawTest::Kind::kAnyKindNode:
         return AnyAttributeTest();
       case RawTest::Kind::kText:
@@ -508,30 +456,35 @@ class PatternParser {
 
   std::string_view in_;
   size_t pos_ = 0;
-  std::string default_ns_;
-  std::map<std::string, std::string> prefixes_;
+  NsId default_ns_ = kNoNamespace;
+  std::map<std::string, NsId> prefixes_;
 };
 
-std::string NamePartToString(const StepTest& t) {
-  if (t.ns_any) {
-    return t.local_any ? "*" : "*:" + t.local;
-  }
-  std::string prefix = t.ns_uri.empty() ? "" : "{" + t.ns_uri + "}";
-  return prefix + (t.local_any ? "*" : t.local);
+std::string NamePartToString(const NameTest& t) {
+  NamePool* pool = NamePool::Global();
+  std::string local =
+      t.local_any() ? "*" : std::string(pool->LocalText(t.local));
+  if (t.ns_any()) return t.local_any() ? "*" : "*:" + local;
+  std::string_view ns = pool->NamespaceText(t.ns);
+  return ns.empty() ? local : "{" + std::string(ns) + "}" + local;
 }
 
 std::string TestToString(const StepTest& t) {
   const uint8_t elem = RankBit(NodeRank::kElem);
   const uint8_t attr = RankBit(NodeRank::kAttr);
   const uint8_t child_node = ChildNodeTest().rank_mask;
-  if (t.rank_mask == attr) return "@" + NamePartToString(t);
-  if (t.rank_mask == elem) return NamePartToString(t);
+  if (t.rank_mask == attr) return "@" + NamePartToString(t.name);
+  if (t.rank_mask == elem) return NamePartToString(t.name);
   if (t.rank_mask == RankBit(NodeRank::kText)) return "text()";
   if (t.rank_mask == RankBit(NodeRank::kComment)) return "comment()";
   if (t.rank_mask == RankBit(NodeRank::kPi)) {
-    return "processing-instruction(" + (t.local_any ? "" : t.local) + ")";
+    return "processing-instruction(" +
+           std::string(t.name.local_any()
+                           ? ""
+                           : NamePool::Global()->LocalText(t.name.local)) +
+           ")";
   }
-  if (t.rank_mask == child_node && t.ns_any && t.local_any) return "node()";
+  if (t.rank_mask == child_node && t.name == NameTest{}) return "node()";
   // Mixed rank sets (rare): verbose fallback.
   std::string s = "{";
   static const char* kRankNames[] = {"elem", "attr", "text", "comment", "pi"};
@@ -543,7 +496,7 @@ std::string TestToString(const StepTest& t) {
       first = false;
     }
   }
-  return s + " " + NamePartToString(t) + "}";
+  return s + " " + NamePartToString(t.name) + "}";
 }
 
 }  // namespace

@@ -6,15 +6,17 @@
 #include <vector>
 
 #include "common/result.h"
+#include "xml/document.h"
+#include "xml/qname.h"
 
 namespace xqdb {
 
 /// Node-kind ranks used to classify one step of a root-to-node path. A
-/// node's *path word* is the sequence of (rank, namespace, local) symbols on
-/// the path from the document root to the node; all non-final symbols are
-/// kElem (only elements have children). Attributes get their own rank, which
-/// is how "//node() never reaches attributes" (paper §3.9 / Tip 12) falls
-/// out of the model instead of being a special case.
+/// node's *path word* is the sequence of (rank, name) symbols on the path
+/// from the document root to the node; all non-final symbols are kElem
+/// (only elements have children). Attributes get their own rank, which is
+/// how "//node() never reaches attributes" (paper §3.9 / Tip 12) falls out
+/// of the model instead of being a special case.
 enum class NodeRank : uint8_t {
   kElem = 0,
   kAttr = 1,
@@ -28,24 +30,52 @@ inline constexpr uint8_t RankBit(NodeRank r) {
   return static_cast<uint8_t>(1u << static_cast<uint8_t>(r));
 }
 
+/// One path-word symbol: a rank plus the interned parts of the node's name
+/// (unused for text and comment symbols, which have no name).
+struct PathSymbol {
+  NodeRank rank = NodeRank::kElem;
+  NameParts name;
+  bool operator==(const PathSymbol&) const = default;
+};
+
+/// The path-word symbol of a non-document node: integers only, no lock.
+/// The one node-to-symbol mapping shared by the NFA walks, the path
+/// summary and the evaluator's name tests.
+inline PathSymbol SymbolOf(const Node& n) {
+  switch (n.kind) {
+    case NodeKind::kElement:
+      return {NodeRank::kElem, NamePool::Global()->PartsOf(n.name)};
+    case NodeKind::kAttribute:
+      return {NodeRank::kAttr, NamePool::Global()->PartsOf(n.name)};
+    case NodeKind::kText:
+      return {NodeRank::kText, {}};
+    case NodeKind::kComment:
+      return {NodeRank::kComment, {}};
+    case NodeKind::kProcessingInstruction:
+      return {NodeRank::kPi, NamePool::Global()->PartsOf(n.name)};
+    case NodeKind::kDocument:
+      break;
+  }
+  return {};
+}
+
 /// A predicate on one path-word symbol: a set of admissible ranks plus a
-/// name constraint (namespace and local part independently exact or
-/// wildcard). The name constraint applies to kElem / kAttr / kPi symbols;
-/// text and comment symbols have no name.
+/// compiled name test. The name test applies to kElem / kAttr / kPi
+/// symbols; text and comment symbols have no name.
 struct StepTest {
   uint8_t rank_mask = 0;
-  bool ns_any = false;
-  std::string ns_uri;
-  bool local_any = false;
-  std::string local;
+  NameTest name;
 
-  bool MatchesName(std::string_view sym_ns, std::string_view sym_local) const {
-    if (!ns_any && sym_ns != ns_uri) return false;
-    if (!local_any && sym_local != local) return false;
-    return true;
+  bool Matches(const PathSymbol& sym) const {
+    if ((rank_mask & RankBit(sym.rank)) == 0) return false;
+    if (sym.rank == NodeRank::kText || sym.rank == NodeRank::kComment) {
+      return true;
+    }
+    return name.Matches(sym.name);
   }
 
   bool IsEmpty() const { return rank_mask == 0; }
+  bool operator==(const StepTest&) const = default;
 };
 
 /// Intersection of two symbol predicates (empty rank_mask = matches
@@ -82,7 +112,9 @@ struct Pattern {
 /// pattern's own `declare namespace` / `declare default element namespace`
 /// prolog; default element namespaces do NOT apply to attribute steps
 /// (paper §3.7, li_price_ns example). Predicates are rejected (the paper's
-/// grammar forbids them in index patterns).
+/// grammar forbids them in index patterns). Every name test is compiled to
+/// NamePool ids by interning, so the pattern also matches names that are
+/// first stored after it was parsed.
 Result<Pattern> ParsePattern(std::string_view text);
 
 /// Builds a Pattern programmatically from normalized steps (used by the
@@ -90,13 +122,12 @@ Result<Pattern> ParsePattern(std::string_view text);
 Pattern MakePattern(std::vector<std::vector<NormStep>> alternatives);
 
 /// Helpers for constructing step tests.
-StepTest ElementTest(bool ns_any, std::string ns_uri, bool local_any,
-                     std::string local);
-StepTest AttributeTest(bool ns_any, std::string ns_uri, bool local_any,
-                       std::string local);
+StepTest ElementTest(NameTest name);
+StepTest AttributeTest(NameTest name);
 StepTest KindTextTest();
 StepTest KindCommentTest();
-StepTest KindPiTest(bool target_any, std::string target);
+/// processing-instruction(target); kAnyName = any target.
+StepTest KindPiTest(LocalId target);
 /// child::node(): elements, text, comments and PIs — but never attributes.
 StepTest ChildNodeTest();
 /// attribute::node() / @*: any attribute.

@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "xml/qname.h"
-
 namespace xqdb {
-
-namespace {
-
-bool TestMatchesSymbol(const StepTest& t, NodeRank rank,
-                       std::string_view ns_uri, std::string_view local) {
-  if ((t.rank_mask & RankBit(rank)) == 0) return false;
-  // Name constraints only apply to named ranks.
-  if (rank == NodeRank::kText || rank == NodeRank::kComment) return true;
-  return t.MatchesName(ns_uri, local);
-}
-
-}  // namespace
 
 Result<PatternNfa> PatternNfa::Compile(const Pattern& pattern) {
   PatternNfa nfa;
@@ -48,58 +34,25 @@ Result<PatternNfa> PatternNfa::Compile(const Pattern& pattern) {
   return nfa;
 }
 
-PatternNfa::StateSet PatternNfa::Advance(StateSet set, NodeRank rank,
-                                         std::string_view ns_uri,
-                                         std::string_view local) const {
+PatternNfa::StateSet PatternNfa::Advance(StateSet set,
+                                         const PathSymbol& sym) const {
   StateSet out = 0;
   StateSet remaining = set;
   while (remaining != 0) {
     int s = __builtin_ctzll(remaining);
     remaining &= remaining - 1;
     const State& st = states_[static_cast<size_t>(s)];
-    if (st.skip_loop && rank == NodeRank::kElem) {
+    if (st.skip_loop && sym.rank == NodeRank::kElem) {
       out |= 1ull << s;
     }
     for (const Transition& tr : st.out) {
-      if (TestMatchesSymbol(tr.test, rank, ns_uri, local)) {
+      if (tr.test.Matches(sym)) {
         out |= 1ull << tr.target;
       }
     }
   }
   return out;
 }
-
-namespace {
-
-struct SymbolOf {
-  NodeRank rank;
-  std::string_view ns_uri;
-  std::string_view local;
-};
-
-SymbolOf NodeSymbol(const Document& doc, NodeIdx idx) {
-  const Node& n = doc.node(idx);
-  NamePool* pool = NamePool::Global();
-  switch (n.kind) {
-    case NodeKind::kElement:
-      return {NodeRank::kElem, pool->NamespaceOf(n.name),
-              pool->LocalOf(n.name)};
-    case NodeKind::kAttribute:
-      return {NodeRank::kAttr, pool->NamespaceOf(n.name),
-              pool->LocalOf(n.name)};
-    case NodeKind::kText:
-      return {NodeRank::kText, "", ""};
-    case NodeKind::kComment:
-      return {NodeRank::kComment, "", ""};
-    case NodeKind::kProcessingInstruction:
-      return {NodeRank::kPi, "", pool->LocalOf(n.name)};
-    case NodeKind::kDocument:
-      break;
-  }
-  return {NodeRank::kElem, "", ""};
-}
-
-}  // namespace
 
 void ForEachMatch(const PatternNfa& nfa, const Document& doc,
                   const std::function<void(NodeIdx)>& fn) {
@@ -126,9 +79,7 @@ void ForEachMatch(const PatternNfa& nfa, const Document& doc,
     while (!stack.empty() && stack.back().end <= idx) stack.pop_back();
     const PatternNfa::StateSet active =
         stack.empty() ? nfa.start_set() : stack.back().states;
-    SymbolOf sym = NodeSymbol(doc, idx);
-    PatternNfa::StateSet here =
-        nfa.Advance(active, sym.rank, sym.ns_uri, sym.local);
+    PatternNfa::StateSet here = nfa.Advance(active, SymbolOf(doc.node(idx)));
     if (here == 0) {
       idx = doc.subtree_end(idx);  // prune: skip the whole dead subtree
       continue;
@@ -153,8 +104,7 @@ bool MatchesNode(const PatternNfa& nfa, const Document& doc, NodeIdx idx) {
       if (step == idx) return nfa.matches_document_node();
       continue;
     }
-    SymbolOf sym = NodeSymbol(doc, step);
-    set = nfa.Advance(set, sym.rank, sym.ns_uri, sym.local);
+    set = nfa.Advance(set, SymbolOf(doc.node(step)));
     if (set == 0) return false;
   }
   return nfa.AnyAccept(set);

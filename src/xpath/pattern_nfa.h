@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -13,7 +12,7 @@
 namespace xqdb {
 
 /// A compiled pattern: a nondeterministic word automaton over path-word
-/// symbols (rank, namespace, local). State sets are uint64 bitmasks, so a
+/// symbols (rank, namespace id, local-name id). State sets are uint64 bitmasks, so a
 /// compiled pattern is limited to 64 states — far beyond any realistic index
 /// pattern (Compile returns an error otherwise).
 ///
@@ -31,9 +30,9 @@ class PatternNfa {
   StateSet start_set() const { return start_set_; }
   bool matches_document_node() const { return matches_document_node_; }
 
-  /// Consumes one path symbol from every state in `set`.
-  StateSet Advance(StateSet set, NodeRank rank, std::string_view ns_uri,
-                   std::string_view local) const;
+  /// Consumes one path symbol from every state in `set`: integer
+  /// compares only.
+  StateSet Advance(StateSet set, const PathSymbol& sym) const;
 
   bool AnyAccept(StateSet set) const { return (set & accept_set_) != 0; }
 

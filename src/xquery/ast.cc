@@ -7,6 +7,10 @@ namespace xqdb {
 namespace {
 
 std::string TestToString(const NodeTestSpec& t) {
+  NamePool* pool = NamePool::Global();
+  const NameTest& name = t.name;
+  std::string local =
+      name.local_any() ? "*" : std::string(pool->LocalText(name.local));
   switch (t.kind) {
     case NodeTestSpec::Kind::kAnyNode:
       return "node()";
@@ -17,18 +21,18 @@ std::string TestToString(const NodeTestSpec& t) {
     case NodeTestSpec::Kind::kDocument:
       return "document-node()";
     case NodeTestSpec::Kind::kPi:
-      return "processing-instruction(" + (t.local_any ? "" : t.local) + ")";
+      return "processing-instruction(" + (name.local_any() ? "" : local) +
+             ")";
     case NodeTestSpec::Kind::kName:
       break;
   }
   std::string s;
-  if (t.ns_any) {
+  if (name.ns_any()) {
     s += "*:";
-  } else if (!t.ns_uri.empty()) {
-    s += "{" + t.ns_uri + "}";
+  } else if (!pool->NamespaceText(name.ns).empty()) {
+    s += "{" + std::string(pool->NamespaceText(name.ns)) + "}";
   }
-  s += t.local_any ? "*" : t.local;
-  return s;
+  return s + local;
 }
 
 const char* AxisName(PathAxis axis) {

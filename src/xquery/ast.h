@@ -16,7 +16,8 @@ struct Expr;
 
 /// A resolved node test in a query path step. Namespaces are resolved at
 /// parse time against the query prolog (default element namespace applies
-/// to element name tests, never to attribute tests).
+/// to element name tests, never to attribute tests), and the name is
+/// compiled to pool ids then, so evaluation compares integers only.
 struct NodeTestSpec {
   enum class Kind {
     kName,      // qname / * / ns:* / *:local
@@ -27,10 +28,11 @@ struct NodeTestSpec {
     kDocument,  // document-node()
   };
   Kind kind = Kind::kName;
-  bool ns_any = false;
-  std::string ns_uri;
-  bool local_any = false;
-  std::string local;  // PI target for kPi
+  NameTest name;  // kName; for kPi only `local` (the target) is used
+  /// The step's principal node kind: a name test on the attribute axis
+  /// matches attributes, on every other axis elements (so `self::*` on an
+  /// attribute is empty, as in the index-pattern algebra).
+  bool attribute_axis = false;
 };
 
 enum class PathAxis {

@@ -62,21 +62,17 @@ bool NodeMatchesTest(const NodeHandle& h, const NodeTestSpec& test) {
       return n.kind == NodeKind::kDocument;
     case NodeTestSpec::Kind::kPi:
       if (n.kind != NodeKind::kProcessingInstruction) return false;
-      if (test.local_any) return true;
-      return NamePool::Global()->LocalOf(n.name) == test.local;
+      break;
     case NodeTestSpec::Kind::kName:
+      // Name tests match the axis's principal node kind only.
+      if (n.kind != (test.attribute_axis ? NodeKind::kAttribute
+                                         : NodeKind::kElement)) {
+        return false;
+      }
       break;
   }
-  // Name tests match elements or attributes; the axis decides which kind
-  // reaches here (child/descendant deliver elements, attribute axis
-  // delivers attributes).
-  if (n.kind != NodeKind::kElement && n.kind != NodeKind::kAttribute) {
-    return false;
-  }
-  NamePool* pool = NamePool::Global();
-  if (!test.ns_any && pool->NamespaceOf(n.name) != test.ns_uri) return false;
-  if (!test.local_any && pool->LocalOf(n.name) != test.local) return false;
-  return true;
+  // Compiled at parse time: two integer compares, no lock, no strings.
+  return test.name.Matches(NamePool::Global()->PartsOf(n.name));
 }
 
 NodeIdx DeepCopyNode(Document* dst, NodeIdx parent, const NodeHandle& src,

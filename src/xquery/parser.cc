@@ -800,20 +800,18 @@ class Parser {
   }
 
   Status ParseNodeTest(NodeTestSpec* test, bool attribute_axis) {
+    NamePool* pool = NamePool::Global();
+    test->name = NameTest{};
+    test->attribute_axis = attribute_axis;
     cur_.SkipWs();
     if (cur_.Peek() == '*') {
       cur_.Bump();
+      test->kind = NodeTestSpec::Kind::kName;
       if (cur_.Peek() == ':' && IsNCNameStart(cur_.PeekAt(1))) {
         cur_.Bump();
         XQDB_ASSIGN_OR_RETURN(std::string local, cur_.ParseNCName());
-        test->kind = NodeTestSpec::Kind::kName;
-        test->ns_any = true;
-        test->local = std::move(local);
-        return Status::OK();
+        XQDB_ASSIGN_OR_RETURN(test->name.local, pool->InternLocal(local));
       }
-      test->kind = NodeTestSpec::Kind::kName;
-      test->ns_any = true;
-      test->local_any = true;
       return Status::OK();
     }
     XQDB_ASSIGN_OR_RETURN(std::string first, cur_.ParseNCName());
@@ -831,15 +829,14 @@ class Parser {
       } else if (first == "processing-instruction") {
         test->kind = NodeTestSpec::Kind::kPi;
         cur_.SkipWs();
-        if (cur_.Peek() == '\'' || cur_.Peek() == '"') {
-          XQDB_ASSIGN_OR_RETURN(std::string target,
-                                cur_.ParseStringLiteral());
-          test->local = std::move(target);
-        } else if (cur_.Peek() != ')') {
-          XQDB_ASSIGN_OR_RETURN(std::string target, cur_.ParseNCName());
-          test->local = std::move(target);
-        } else {
-          test->local_any = true;
+        if (cur_.Peek() != ')') {
+          std::string target;
+          if (cur_.Peek() == '\'' || cur_.Peek() == '"') {
+            XQDB_ASSIGN_OR_RETURN(target, cur_.ParseStringLiteral());
+          } else {
+            XQDB_ASSIGN_OR_RETURN(target, cur_.ParseNCName());
+          }
+          XQDB_ASSIGN_OR_RETURN(test->name.local, pool->InternLocal(target));
         }
       } else {
         return Status::ParseError("unknown kind test '" + first + "()'");
@@ -854,24 +851,24 @@ class Parser {
     }
     // Name test.
     test->kind = NodeTestSpec::Kind::kName;
-    std::string prefix, local;
+    std::string prefix;
     if (cur_.Peek() == ':' && cur_.PeekAt(1) == '*') {
       cur_.Bump();
       cur_.Bump();
       prefix = std::move(first);
-      test->local_any = true;
-    } else if (cur_.Peek() == ':' && IsNCNameStart(cur_.PeekAt(1))) {
-      cur_.Bump();
-      prefix = std::move(first);
-      XQDB_ASSIGN_OR_RETURN(local, cur_.ParseNCName());
-      test->local = std::move(local);
     } else {
-      test->local = std::move(first);
+      std::string local = std::move(first);
+      if (cur_.Peek() == ':' && IsNCNameStart(cur_.PeekAt(1))) {
+        cur_.Bump();
+        prefix = std::move(local);
+        XQDB_ASSIGN_OR_RETURN(local, cur_.ParseNCName());
+      }
+      XQDB_ASSIGN_OR_RETURN(test->name.local, pool->InternLocal(local));
     }
     XQDB_ASSIGN_OR_RETURN(std::string uri,
                           ResolveNs(prefix, /*is_element_name=*/
                                     !attribute_axis));
-    test->ns_uri = std::move(uri);
+    XQDB_ASSIGN_OR_RETURN(test->name.ns, pool->InternNamespace(uri));
     return Status::OK();
   }
 
@@ -1116,6 +1113,10 @@ class Parser {
         return uri.status();
       }
       e->elem_name = NamePool::Global()->Intern(*uri, raw_name.local);
+      if (e->elem_name == kInvalidName) {
+        finish();
+        return NamePool::FullError();
+      }
     }
     for (RawAttr& a : attrs) {
       auto uri = ResolveNs(a.name.prefix, /*is_element_name=*/false);
@@ -1125,6 +1126,10 @@ class Parser {
       }
       ConstructorAttr ca;
       ca.name = NamePool::Global()->Intern(*uri, a.name.local);
+      if (ca.name == kInvalidName) {
+        finish();
+        return NamePool::FullError();
+      }
       ca.value_parts = std::move(a.parts);
       e->ctor_attrs.push_back(std::move(ca));
     }

@@ -23,8 +23,10 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "workload/generator.h"
+#include "xml/parser.h"
 #include "xml/qname.h"
 #include "xpath/pattern_cache.h"
+#include "xquery/evaluator.h"
 
 namespace xqdb {
 namespace {
@@ -191,33 +193,90 @@ TEST(ContentionTest, MetricsRegistryHistogramContention) {
 // --- NamePool interning -----------------------------------------------------
 
 // Concurrent Intern/resolve on the global pool: same (uri, local) must get
-// one id everywhere, and the string_views handed out stay valid while other
-// threads keep interning (the append-only deque contract).
+// one id everywhere. Readers resolve ids lock-free — NamespaceOf/LocalOf,
+// PartsOf and NodeMatchesTest over a parsed document — while a writer
+// interns enough fresh names to cross several 1024-entry StableVector
+// blocks, so TSan sees every block publication race the readers.
 TEST(ContentionTest, NamePoolInterningContention) {
   NamePool* pool = NamePool::Global();
   constexpr int kNames = 32;
+  constexpr int kFreshNames = 4 * 1024;
+  auto doc = ParseXml(
+      "<c:order xmlns:c=\"http://xqdb.test/contention\"><c:item a=\"1\"/>"
+      "<item/><c:other/></c:order>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  NodeTestSpec any_item;  // *:item
+  any_item.name.local = pool->InternLocal("item").value();
+  NodeTestSpec ns_any;  // c:*
+  ns_any.name.ns = pool->InternNamespace("http://xqdb.test/contention").value();
+
+  const size_t size_before = pool->size();
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kFreshNames; ++i) {
+      NameId id = pool->Intern("http://xqdb.test/fresh",
+                               "fresh_" + std::to_string(i));
+      if (id == kInvalidName) ADD_FAILURE() << "pool refused fresh name " << i;
+    }
+    writer_done.store(true);
+  });
   std::vector<std::vector<NameId>> ids(kThreads);
   RunThreads(kThreads, [&](int t) {
     ids[t].resize(kNames);
-    for (int rep = 0; rep < 20; ++rep) {
+    for (int rep = 0; rep < 20 || !writer_done.load(); ++rep) {
+      // Intern once up front and once after the writer is done (ids must
+      // not move); in between only lock-free reads, so the readers never
+      // starve the writer of its lock.
+      const bool intern = rep == 0 || writer_done.load();
       for (int i = 0; i < kNames; ++i) {
         std::string local = "contention_elem_" + std::to_string(i);
-        NameId id = pool->Intern("http://xqdb.test/contention", local);
-        ids[t][i] = id;
-        // Resolve through the pool while other threads grow it.
-        std::string_view back = pool->LocalOf(id);
-        if (back != local) {
-          ADD_FAILURE() << "LocalOf(" << id << ") = " << back;
+        if (intern) {
+          NameId id = pool->Intern("http://xqdb.test/contention", local);
+          if (rep > 0 && ids[t][i] != id) {
+            ADD_FAILURE() << "id of " << local << " moved";
+          }
+          ids[t][i] = id;
         }
-        // Churn: unique-per-thread-and-rep names force deque growth.
-        pool->Intern("", "churn_" + std::to_string(t) + "_" +
-                             std::to_string(rep) + "_" + std::to_string(i));
+        // Resolve through the pool while the writer grows it.
+        const NameId id = ids[t][i];
+        if (pool->LocalOf(id) != local ||
+            pool->NamespaceOf(id) != "http://xqdb.test/contention") {
+          ADD_FAILURE() << "LocalOf/NamespaceOf(" << id << ") = "
+                        << pool->NamespaceOf(id) << " " << pool->LocalOf(id);
+        }
+      }
+      // Ids published before the writer started must read back unchanged.
+      const NameId probe = static_cast<NameId>(
+          (static_cast<size_t>(rep) * 7919 + static_cast<size_t>(t)) %
+          size_before);
+      NameParts parts = pool->PartsOf(probe);
+      if (pool->NamespaceText(parts.ns) != pool->NamespaceOf(probe) ||
+          pool->LocalText(parts.local) != pool->LocalOf(probe)) {
+        ADD_FAILURE() << "parts of " << probe << " do not round-trip";
+      }
+      int items = 0, in_ns = 0;
+      for (NodeIdx n = 0; n < static_cast<NodeIdx>((*doc)->node_count());
+           ++n) {
+        NodeHandle h{doc->get(), n};
+        if (h.kind() != NodeKind::kElement) continue;
+        items += NodeMatchesTest(h, any_item) ? 1 : 0;
+        in_ns += NodeMatchesTest(h, ns_any) ? 1 : 0;
+      }
+      if (items != 2 || in_ns != 3) {
+        ADD_FAILURE() << "name tests matched " << items << " items, "
+                      << in_ns << " namespaced elements";
       }
     }
   });
+  writer.join();
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(ids[0], ids[t]) << "thread " << t << " saw different ids";
   }
+  EXPECT_GE(pool->size(), size_before + kFreshNames);
+  EXPECT_EQ(pool->LocalOf(pool->Intern("http://xqdb.test/fresh",
+                                       "fresh_" +
+                                           std::to_string(kFreshNames - 1))),
+            "fresh_" + std::to_string(kFreshNames - 1));
 }
 
 // --- Deadlock-freedom hammer (ctest labels concurrency + deadlock) ----------

@@ -20,6 +20,7 @@
 #include "core/database.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "xml/qname.h"
 
 namespace xqdb {
 namespace {
@@ -118,6 +119,33 @@ TEST_F(ServerFixture, QueryErrorsComeBackAsStatusCodeFrames) {
   // The connection survives query errors — only protocol errors close it.
   ResponseFrame pong = MustCall(client, Verb::kPing, "");
   EXPECT_TRUE(pong.ok);
+}
+
+TEST_F(ServerFixture, FullNamePoolIsAnErrFrameAndTheSessionKeepsServing) {
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  // Freeze the process-wide name pool instead of interning 4M names: every
+  // new name now fails the way the 4M-th would.
+  NamePool::Global()->SetCapacityForTesting(0);
+  ResponseFrame insert = MustCall(
+      client, Verb::kQuery,
+      "INSERT INTO orders VALUES (99, '<order><never_interned_srv/></order>')");
+  ResponseFrame xq = MustCall(
+      client, Verb::kXQuery,
+      "count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//never_interned_srv_step)");
+  // Known names still resolve: the same session keeps serving.
+  ResponseFrame rows =
+      MustCall(client, Verb::kXQuery,
+               "count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem)");
+  NamePool::Global()->SetCapacityForTesting(NamePool::kCapacity);
+
+  EXPECT_FALSE(insert.ok);
+  EXPECT_EQ(insert.code, "ResourceExhausted") << insert.payload;
+  EXPECT_FALSE(xq.ok);
+  EXPECT_EQ(xq.code, "ResourceExhausted") << xq.payload;
+  EXPECT_TRUE(rows.ok) << rows.code << " " << rows.payload;
+  EXPECT_EQ(rows.payload, "8\n");  // the failed INSERT stored nothing
 }
 
 TEST_F(ServerFixture, MalformedFramesAreProtocolErrorsNotCrashes) {

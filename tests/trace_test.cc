@@ -8,6 +8,7 @@
 
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -89,6 +90,44 @@ TEST_F(TraceFixture, ForcedScanReportsCollectionScan) {
   EXPECT_EQ(xr->rows.size(), 3u);
   EXPECT_EQ(xr->stats.docs_scanned, kCollectionSize);
   EXPECT_EQ(xr->stats.index_docs_returned, 0);
+}
+
+TEST(TraceNameTest, WildcardNameTestsProbeIndexAndPathSummary) {
+  // `*:l` and `p:*` compile to one exact id each; the index build
+  // (Pattern-NFA over every document) and the path-summary trie match them
+  // with integer compares across namespaces.
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteSql("CREATE TABLE orders (ordid INTEGER, orddoc XML)").ok());
+  const char* kDocs[] = {
+      "<order xmlns=\"urn:o\"><custid>1</custid></order>",
+      "<order xmlns:x=\"urn:x\"><custid>2</custid><n x:lang=\"en\"/></order>",
+      "<order xmlns:x=\"urn:y\"><custid>3</custid><n x:lang=\"fr\"/></order>"};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO orders VALUES (" +
+                              std::to_string(i + 1) + ", '" + kDocs[i] + "')")
+                    .ok());
+  }
+  ASSERT_TRUE(db.ExecuteSql("CREATE INDEX any_custid ON orders(orddoc) "
+                            "USING XMLPATTERN '//*:custid' AS SQL DOUBLE")
+                  .ok());
+  auto probe = db.ExplainAnalyzeSql(
+      "SELECT ordid FROM orders WHERE XMLEXISTS("
+      "'$d//*:custid[. = 1]' PASSING orddoc AS \"d\")");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_NE(probe->find("ANY_CUSTID"), std::string::npos) << *probe;
+  EXPECT_NE(probe->find("index_docs_returned = 1"), std::string::npos)
+      << *probe;
+  auto exists = db.ExplainAnalyzeSql(
+      "SELECT ordid FROM orders WHERE XMLEXISTS("
+      "'declare namespace x=\"urn:x\"; $d//@x:*' PASSING orddoc AS \"d\")");
+  ASSERT_TRUE(exists.ok()) << exists.status().ToString();
+  EXPECT_NE(exists->find("PATH SUMMARY EXISTENCE PROBE"), std::string::npos)
+      << *exists;
+  EXPECT_NE(exists->find("index_docs_returned = 1"), std::string::npos)
+      << *exists;
+  EXPECT_EQ(exists->find("\n    docs_scanned ="), std::string::npos)
+      << *exists;
 }
 
 // ----- Index-only (covering) aggregates -------------------------------------
@@ -227,6 +266,79 @@ TEST_F(TraceFixture, CacheHitSkipsParseAndPlanPhases) {
   EXPECT_EQ(hit->stats.parse_ns, 0);
   EXPECT_EQ(hit->stats.plan_ns, 0);
   EXPECT_GT(hit->stats.total_ns, 0);
+}
+
+TEST_F(TraceFixture, SerialQueryReportsThreadCpuTime) {
+  ThreadPool::SetGlobalThreads(1);
+  ExecOptions scan;
+  scan.force_scan = true;
+  auto rs = db_.ExecuteSql(
+      "SELECT ordid FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 350]' passing orddoc as \"o\")",
+      scan);
+  ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_GT(rs->stats.cpu_ns, 0);
+  EXPECT_NE(rs->stats.ToJson().find("\"cpu_ns\": "), std::string::npos);
+  auto r = db_.ExplainAnalyzeXQuery(
+      "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')"
+      "//order[lineitem/@price > 750] return $o/custid");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r->find("(cpu "), std::string::npos) << *r;
+}
+
+TEST(TracePoolTest, ParallelScanCpuIsTheMergedChunkValues) {
+  // The chunk meter's contract, driven the way the executor drives it: a
+  // chunk on a worker thread records its thread CPU time, a chunk the
+  // calling thread helps with records nothing (the caller's exec-phase
+  // CPU already covers it), and Merge sums — so the query's cpu_ns is the
+  // caller's share plus exactly the merged chunk values.
+  ThreadPool::SetGlobalThreads(4);
+  constexpr size_t kChunks = 16;
+  std::vector<ExecStats> chunks(kChunks);
+  std::vector<char> on_caller(kChunks, 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool::Global().ParallelFor(0, kChunks, 1, [&](size_t lo, size_t) {
+    ChunkCpuMeter cpu(&chunks[lo], caller);
+    on_caller[lo] = std::this_thread::get_id() == caller ? 1 : 0;
+    const long long start = ThreadCpuNs();
+    while (ThreadCpuNs() - start < 200000) {
+    }
+  });
+  ExecStats total;
+  long long sum = 0;
+  for (size_t c = 0; c < kChunks; ++c) {
+    if (on_caller[c]) {
+      EXPECT_EQ(chunks[c].cpu_ns, 0) << "chunk " << c;
+    } else {
+      EXPECT_GE(chunks[c].cpu_ns, 200000) << "chunk " << c;
+    }
+    sum += chunks[c].cpu_ns;
+    total.Merge(chunks[c]);
+  }
+  EXPECT_EQ(total.cpu_ns, sum);
+
+  // A real parallel scan reports it end to end.
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteSql("CREATE TABLE orders (ordid INTEGER, orddoc XML)").ok());
+  for (int i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO orders VALUES (" +
+                              std::to_string(i) +
+                              ", '<order><lineitem price=\"" +
+                              std::to_string(i) + "\"/></order>')")
+                    .ok());
+  }
+  ExecOptions scan;
+  scan.force_scan = true;
+  auto rs = db.ExecuteSql(
+      "SELECT ordid FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 150]' passing orddoc as \"o\")",
+      scan);
+  ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_GT(rs->stats.pool_tasks, 0);
+  EXPECT_GT(rs->stats.cpu_ns, 0);
 }
 
 TEST(TracePoolTest, PoolTasksMeteredOnParallelScan) {

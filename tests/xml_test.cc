@@ -35,6 +35,82 @@ TEST(QNameTest, FindDoesNotIntern) {
   EXPECT_EQ(pool->Find("urn:never-interned-ns", "zzz"), kInvalidName);
 }
 
+TEST(QNameTest, PartsAreIntegerIdsSharedAcrossQNames) {
+  NamePool* pool = NamePool::Global();
+  NameId plain = pool->Intern("", "parts_item");
+  NameId qualified = pool->Intern("urn:parts", "parts_item");
+  NameId sibling = pool->Intern("urn:parts", "parts_other");
+  // One local-name id for both namespaces, one namespace id for both
+  // locals: what `*:l` and `p:*` tests compare against.
+  EXPECT_EQ(pool->PartsOf(plain).local, pool->PartsOf(qualified).local);
+  EXPECT_EQ(pool->PartsOf(qualified).ns, pool->PartsOf(sibling).ns);
+  EXPECT_EQ(pool->PartsOf(plain).ns, kNoNamespace);
+  EXPECT_EQ(pool->LocalText(pool->PartsOf(qualified).local), "parts_item");
+  EXPECT_EQ(pool->NamespaceText(pool->PartsOf(sibling).ns), "urn:parts");
+  // Interning a part on its own yields the same id a QName uses.
+  EXPECT_EQ(pool->InternLocal("parts_other").value(),
+            pool->PartsOf(sibling).local);
+  EXPECT_EQ(pool->InternNamespace("urn:parts").value(),
+            pool->PartsOf(sibling).ns);
+  NameTest any_local{pool->PartsOf(qualified).ns, kAnyName};
+  EXPECT_TRUE(any_local.Matches(pool->PartsOf(qualified)));
+  EXPECT_TRUE(any_local.Matches(pool->PartsOf(sibling)));
+  EXPECT_FALSE(any_local.Matches(pool->PartsOf(plain)));
+}
+
+TEST(QNameTest, FullPoolFailsVisiblyAndKeepsKnownIds) {
+  NamePool pool;  // private pool: the global one stays untouched
+  pool.SetCapacityForTesting(5);  // "", a, b, urn:c, c fill the text table
+  NameId a = pool.Intern("", "a");
+  NameId b = pool.Intern("", "b");
+  NameId c = pool.Intern("urn:c", "c");
+  ASSERT_NE(a, kInvalidName);
+  ASSERT_NE(b, kInvalidName);
+  ASSERT_NE(c, kInvalidName);
+  // A new text no longer fits: it fails instead of handing out an id for
+  // an unconstructed slot.
+  EXPECT_EQ(pool.Intern("", "d"), kInvalidName);
+  auto local = pool.InternLocal("never_fits");
+  ASSERT_FALSE(local.ok());
+  EXPECT_EQ(local.status().code(), StatusCode::kResourceExhausted);
+  // New pairs of known texts fill the QName table up to the same cap.
+  EXPECT_NE(pool.Intern("urn:c", "a"), kInvalidName);
+  EXPECT_NE(pool.Intern("urn:c", "b"), kInvalidName);
+  EXPECT_EQ(pool.Intern("", "c"), kInvalidName);
+  EXPECT_EQ(pool.size(), 5u);
+  // Known names keep their ids and round-trip.
+  EXPECT_EQ(pool.Intern("", "b"), b);
+  EXPECT_EQ(pool.LocalOf(c), "c");
+  EXPECT_EQ(pool.NamespaceOf(c), "urn:c");
+  EXPECT_EQ(pool.InternLocal("a").value(), pool.PartsOf(a).local);
+}
+
+/// Freezes the process-wide pool for one test: every new name fails the
+/// way the 4M-th would, without interning 4M names.
+class FrozenNamePool {
+ public:
+  FrozenNamePool() { NamePool::Global()->SetCapacityForTesting(0); }
+  ~FrozenNamePool() {
+    NamePool::Global()->SetCapacityForTesting(NamePool::kCapacity);
+  }
+  FrozenNamePool(const FrozenNamePool&) = delete;
+  FrozenNamePool& operator=(const FrozenNamePool&) = delete;
+};
+
+TEST(XmlParserTest, FullNamePoolIsAnErrorNotABadId) {
+  ASSERT_TRUE(ParseXml("<order><custid>1</custid></order>").ok());
+  FrozenNamePool frozen;
+  auto fresh = ParseXml("<order><never_interned_full_pool/></order>");
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(fresh.status().code(), StatusCode::kResourceExhausted)
+      << fresh.status().ToString();
+  auto fresh_pi = ParseXml("<order><?never_interned_pi_target x?></order>");
+  ASSERT_FALSE(fresh_pi.ok());
+  EXPECT_EQ(fresh_pi.status().code(), StatusCode::kResourceExhausted);
+  // Documents over known names still parse.
+  EXPECT_TRUE(ParseXml("<order><custid>2</custid></order>").ok());
+}
+
 TEST(XmlParserTest, SimpleDocument) {
   auto doc = ParseXml("<order><custid>17</custid></order>");
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();

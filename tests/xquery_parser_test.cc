@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "xml/qname.h"
 #include "xquery/ast.h"
 #include "xquery/parser.h"
 
@@ -12,6 +13,39 @@ namespace xqdb {
 namespace {
 
 Result<ParsedQuery> Parse(const std::string& q) { return ParseXQuery(q); }
+
+TEST(XQueryParserTest, NameTestsCompileToPoolIds) {
+  auto q = Parse(
+      "declare namespace p=\"urn:compile\"; "
+      "$d/p:compile_a/*:compile_b/p:*/@*");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const auto& steps = q->body->steps;
+  ASSERT_EQ(steps.size(), 5u);
+  NamePool* pool = NamePool::Global();
+  const NsId p = pool->InternNamespace("urn:compile").value();
+  EXPECT_EQ(steps[1].test.name,
+            (NameTest{p, pool->InternLocal("compile_a").value()}));
+  EXPECT_EQ(steps[2].test.name,
+            (NameTest{kAnyName, pool->InternLocal("compile_b").value()}));
+  EXPECT_EQ(steps[3].test.name, (NameTest{p, kAnyName}));
+  EXPECT_EQ(steps[4].test.name, NameTest{});
+  EXPECT_TRUE(steps[4].test.attribute_axis);
+  EXPECT_FALSE(steps[3].test.attribute_axis);
+}
+
+TEST(XQueryParserTest, FullNamePoolFailsTheCompile) {
+  ASSERT_TRUE(Parse("$d/order/custid").ok());
+  NamePool::Global()->SetCapacityForTesting(0);
+  auto step = Parse("$d/order/never_interned_step_full_pool");
+  auto ctor = Parse("<never_interned_ctor_full_pool/>");
+  auto known = Parse("$d/order/custid");
+  NamePool::Global()->SetCapacityForTesting(NamePool::kCapacity);
+  ASSERT_FALSE(step.ok());
+  EXPECT_EQ(step.status().code(), StatusCode::kResourceExhausted);
+  ASSERT_FALSE(ctor.ok());
+  EXPECT_EQ(ctor.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(known.ok()) << known.status().ToString();
+}
 
 TEST(XQueryParserTest, PrologDeclarations) {
   auto q = Parse(
