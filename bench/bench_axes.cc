@@ -223,10 +223,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Single-threaded, structural default on: the bench compares evaluation
-  // strategies, not parallelism, and must not inherit XQDB_STRUCTURAL=off.
+  // Single-threaded: the bench compares evaluation strategies, not
+  // parallelism.
   ThreadPool::SetGlobalThreads(1);
-  xqdb::SetStructuralJoinDefault(true);
 
   const std::string kDescendant =
       "db2-fn:xmlcolumn('AXES.DOC')//wrap//leaf";

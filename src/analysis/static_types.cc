@@ -1,60 +1,15 @@
 #include "analysis/static_types.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
-#include "common/str_util.h"
 #include "index/path_summary.h"
 #include "storage/catalog.h"
 #include "xdm/cast.h"
 #include "xpath/pattern.h"
-#include "xquery/structural_join.h"
 
 namespace xqdb {
-
-namespace {
-
-std::atomic<int> g_static_default{-1};
-
-int ReadEnvDefault() {
-  const char* v = GetEnvRaw("XQDB_STATIC");
-  if (v == nullptr) return 1;
-  std::optional<bool> parsed = ParseStaticKnob(v);
-  if (!parsed.has_value()) {
-    static bool warned = [] {
-      std::fprintf(stderr,
-                   "xqdb: unrecognized XQDB_STATIC value; accepted: 0, 1, "
-                   "on, off — static folding stays enabled\n");
-      return true;
-    }();
-    (void)warned;
-    return 1;
-  }
-  return *parsed ? 1 : 0;
-}
-
-}  // namespace
-
-std::optional<bool> ParseStaticKnob(std::string_view text) {
-  return ParseStructuralKnob(text);
-}
-
-bool StaticFoldDefault() {
-  int v = g_static_default.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = ReadEnvDefault();
-    g_static_default.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetStaticFoldDefault(bool enabled) {
-  g_static_default.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::string StaticType::CardinalityName() const {
   if (card_max == 0) return "empty-sequence()";

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/source_span.h"
@@ -14,18 +13,6 @@
 namespace xqdb {
 
 class Catalog;
-
-/// Process-wide default for static type/cardinality folding in the planner.
-/// Reads XQDB_STATIC once on first use via ParseStaticKnob; unset or
-/// unrecognized text enables it (the latter with a one-time warning). The
-/// setter overrides the environment — benches and the differential oracle
-/// flip it to compare folded against unoptimized execution.
-bool StaticFoldDefault();
-void SetStaticFoldDefault(bool enabled);
-
-/// Same strict grammar as the other knobs: "0"/"off" or "1"/"on",
-/// ASCII case-insensitive words, surrounding whitespace ignored.
-std::optional<bool> ParseStaticKnob(std::string_view text);
 
 /// The inferred static type of one expression: cardinality bounds plus the
 /// facts the consumers act on. The lattice is deliberately small — the

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "core/planner.h"
 #include "observability/trace.h"
-#include "sql/batch_filter.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/parser.h"
@@ -45,6 +44,14 @@ void ForceScanPlan(XQueryPlan* plan) {
   plan->static_empty = false;
   plan->static_reason.clear();
   plan->static_witnesses.clear();
+}
+
+/// The per-statement execution switches, applied alike to a SELECT and to
+/// the victim selection of a DELETE.
+void ApplyExecOptions(const ExecOptions& options, SqlExecutor* executor) {
+  if (options.disable_structural) executor->set_structural_enabled(false);
+  if (options.disable_batch) executor->set_batch_enabled(false);
+  if (options.disable_static) executor->set_static_enabled(false);
 }
 
 long long NowNs() {
@@ -142,9 +149,7 @@ Result<ResultSet> Database::RunSelect(const SelectStmt& stmt,
     epoch = pin->epoch();
   }
   SqlExecutor executor(&catalog_, epoch);
-  if (options.disable_structural) executor.set_structural_enabled(false);
-  if (options.disable_batch) executor.set_batch_enabled(false);
-  if (options.disable_static) executor.set_static_enabled(false);
+  ApplyExecOptions(options, &executor);
   return executor.Run(stmt, plan);
 }
 
@@ -188,11 +193,21 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
   XQDB_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
   const long long parse_end = NowNs();
   long long plan_end = parse_end;
-  // SELECT restarts the CPU clock after planning; other statements execute
-  // straight after parsing.
-  long long exec_cpu0 =
-      stmt.kind == SqlStatement::Kind::kSelect ? 0 : ThreadCpuNs();
+  // SELECT and DELETE restart the CPU clock after planning; DDL and INSERT
+  // execute straight after parsing.
+  long long exec_cpu0 = stmt.select == nullptr ? ThreadCpuNs() : 0;
   if (plan_text != nullptr) *plan_text = kNoPlanText;
+  // A DELETE plans exactly as the SELECT of its victims does.
+  auto plan_select = [&](const SelectStmt& select) -> Result<SelectPlan> {
+    Planner planner(&catalog_);
+    if (options.disable_static) planner.set_static_enabled(false);
+    XQDB_ASSIGN_OR_RETURN(SelectPlan plan, planner.PlanSelect(select));
+    if (options.force_scan) ForceScanPlan(&plan);
+    plan_end = NowNs();
+    exec_cpu0 = ThreadCpuNs();
+    if (plan_text != nullptr) *plan_text = plan.Explain(select);
+    return plan;
+  };
   Result<ResultSet> rs = Status::Internal("unhandled statement kind");
   switch (stmt.kind) {
     case SqlStatement::Kind::kCreateTable: {
@@ -216,21 +231,33 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
       VacuumTable(stmt.insert->table_name);
       break;
     }
-    case SqlStatement::Kind::kDelete:
-      rs = RunDeleteStmt(*stmt.del, options);
-      break;
-    case SqlStatement::Kind::kSelect: {
-      Planner planner(&catalog_);
-      if (options.disable_static) planner.set_static_enabled(false);
-      auto plan = planner.PlanSelect(*stmt.select);
+    case SqlStatement::Kind::kDelete: {
+      // Planned before the write ticket, like any SELECT: a plan stays
+      // valid across DML (its static proofs and containment claims are
+      // re-verified at execution), so the ticket covers only the victims'
+      // selection and their tombstones.
+      auto plan = plan_select(*stmt.select);
       if (!plan.ok()) {
         rs = plan.status();
         break;
       }
-      if (options.force_scan) ForceScanPlan(&*plan);
-      plan_end = NowNs();
-      exec_cpu0 = ThreadCpuNs();
-      if (plan_text != nullptr) *plan_text = plan->Explain(*stmt.select);
+      {
+        WriteTicket ticket(epoch_manager_);
+        rs = RunDeleteStmt(*stmt.select, *plan, ticket.write_epoch(),
+                           options);
+      }
+      // Post-commit: physically unindex whatever no snapshot can see
+      // anymore. With no pins outstanding this drains the statement's own
+      // tombstones immediately — single-session behaviour is unchanged.
+      if (rs.ok()) VacuumTable(stmt.select->from[0].table_name);
+      break;
+    }
+    case SqlStatement::Kind::kSelect: {
+      auto plan = plan_select(*stmt.select);
+      if (!plan.ok()) {
+        rs = plan.status();
+        break;
+      }
       auto entry = std::make_shared<CachedSqlQuery>();
       entry->stmt = std::move(stmt);
       entry->plan = *std::move(plan);
@@ -248,9 +275,9 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
 
 Result<std::string> Database::ExplainSql(const std::string& sql) {
   XQDB_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
-  if (stmt.kind != SqlStatement::Kind::kSelect) {
-    return std::string(kNoPlanText);
-  }
+  // SELECT, and DELETE by the SELECT of its victims; DDL and INSERT have
+  // no access plan.
+  if (stmt.select == nullptr) return std::string(kNoPlanText);
   Planner planner(&catalog_);
   XQDB_ASSIGN_OR_RETURN(SelectPlan plan, planner.PlanSelect(*stmt.select));
   std::string out = plan.Explain(*stmt.select);
@@ -359,40 +386,22 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
     pin.emplace(epoch_manager_);
     epoch = pin->epoch();
   }
-  SnapshotProvider snapshot_provider(&catalog_, epoch);
-  std::unique_ptr<FilteredProvider> filtered;
-  const XmlColumnProvider* provider = &snapshot_provider;
-  auto summary_of = [&]() -> const PathSummary* {
-    auto table = catalog_.GetTable(plan.table);
-    return table.ok() ? table.value()->path_summary(plan.column) : nullptr;
-  };
-  bool use_index = plan.use_index;
-  if (use_index && plan.access.summary_containment) {
-    // This plan's eligibility rests on data-dependent containment: every
-    // stored path the query matched lay inside the index pattern *when it
-    // was planned*. Inserts since then may have grown the path set past
-    // the pattern, so re-verify against the live summary (a trie walk, not
-    // a data scan) and fall back to the collection scan when stale.
-    const PathSummary* summary = summary_of();
-    use_index = summary != nullptr && plan.access.summary_nfa != nullptr &&
-                plan.access.containment_nfa != nullptr &&
-                summary->MatchedPathsCoveredBy(*plan.access.summary_nfa,
-                                               *plan.access.containment_nfa);
+  const Table* table = nullptr;
+  if (plan.use_index) {
+    XQDB_ASSIGN_OR_RETURN(table, catalog_.GetTable(plan.table));
   }
-  if (use_index && plan.access.kind == AccessPath::Kind::kIndexOnly) {
+  if (table != nullptr && plan.access.kind == AccessPath::Kind::kIndexOnly) {
     // Covering aggregate: answer fn:count/sum/avg/min/max straight from the
     // B+Tree entries — zero documents materialized. The plan proved the
     // index entry set equals the query match set in the pattern language
     // (containment both ways); what it could NOT prove statically is the
     // data-dependent residue, so re-verify here, exactly like the
-    // summary-containment gate above: any tolerantly skipped uncastable or
-    // NaN node means the entries under-count the match set, and we demote
-    // to the collection scan. The batch knob gates this path too so
-    // XQDB_BATCH=0 (and the xqdiff row-at-a-time oracle) exercises the
-    // evaluator instead.
-    auto table = catalog_.GetTable(plan.table);
-    bool covering = !options.disable_batch && BatchExecDefault() &&
-                    table.ok() && plan.access.index != nullptr &&
+    // summary-containment gate of ProbeAccessPath: any tolerantly skipped
+    // uncastable or NaN node means the entries under-count the match set,
+    // and we demote to the collection scan. disable_batch gates this path
+    // too, so the xqdiff row-at-a-time oracle exercises the evaluator
+    // instead.
+    bool covering = !options.disable_batch && plan.access.index != nullptr &&
                     plan.access.index->cast_skip_count() == 0;
     ProbeStats pstats;
     std::vector<DoubleIndexEntry> entries;
@@ -403,7 +412,7 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
       std::vector<DoubleIndexEntry> visible;
       visible.reserve(entries.size());
       for (const DoubleIndexEntry& e : entries) {
-        if (table.value()->VisibleAt(e.row, epoch)) visible.push_back(e);
+        if (table->VisibleAt(e.row, epoch)) visible.push_back(e);
       }
       // Key order out of the tree; the aggregates below are specified over
       // document order (sum accumulates left to right; min/max keep the
@@ -477,52 +486,20 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
       return out;
     }
     // Demoted: the covering claim no longer holds (batch execution is off,
-    // or DML introduced a tolerant cast skip). Scan the collection.
-    use_index = false;
+    // or DML introduced a tolerant cast skip). ProbeAccessPath admits every
+    // row for kIndexOnly, so the evaluator scans the collection.
   }
-  if (use_index) {
-    ProbeStats pstats;
-    std::vector<uint32_t> rows;
-    switch (plan.access.kind) {
-      case AccessPath::Kind::kIndexRange:
-      case AccessPath::Kind::kIndexStructural: {
-        XQDB_ASSIGN_OR_RETURN(
-            rows, plan.access.index->ProbeRange(plan.access.lo,
-                                                plan.access.hi, &pstats));
-        break;
-      }
-      case AccessPath::Kind::kSummaryExistence: {
-        const PathSummary* summary = summary_of();
-        PathSummary::MatchStats mstats;
-        if (summary != nullptr && plan.access.summary_nfa != nullptr) {
-          rows = summary->MatchRows(*plan.access.summary_nfa, &mstats);
-        }
-        out.stats.summary_pruned_paths += mstats.pruned_paths;
-        break;
-      }
-      case AccessPath::Kind::kIndexIntersect: {
-        XQDB_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> a,
-            plan.access.index->ProbeRange(plan.access.lo, plan.access.hi,
-                                          &pstats));
-        XQDB_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> b,
-            plan.access.index2->ProbeRange(plan.access.lo2, plan.access.hi2,
-                                           &pstats));
-        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                              std::back_inserter(rows));
-        break;
-      }
-      case AccessPath::Kind::kFullScan:
-      case AccessPath::Kind::kIndexJoinProbe:  // never planned standalone
-      case AccessPath::Kind::kIndexOnly:       // handled (or demoted) above
-        break;
-    }
-    out.stats.index_entries_probed =
-        static_cast<long long>(pstats.entries_scanned);
-    out.stats.index_docs_returned = static_cast<long long>(rows.size());
+  AdmittedRows admitted;
+  if (table != nullptr) {
+    XQDB_ASSIGN_OR_RETURN(admitted,
+                          ProbeAccessPath(*table, plan.access, &out.stats));
+  }
+  SnapshotProvider snapshot_provider(&catalog_, epoch);
+  std::unique_ptr<FilteredProvider> filtered;
+  const XmlColumnProvider* provider = &snapshot_provider;
+  if (admitted.has_value()) {
     filtered = std::make_unique<FilteredProvider>(
-        &catalog_, plan.table, plan.column, std::move(rows), epoch);
+        &catalog_, plan.table, plan.column, *std::move(admitted), epoch);
     provider = filtered.get();
   }
 
@@ -535,7 +512,7 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
   // blind — that is a collection scan, the ineligible shape of Definition
   // 1; with one, the documents the evaluator saw were index-admitted and
   // already counted in index_docs_returned.
-  if (!use_index) out.stats.docs_scanned = eval.docs_navigated();
+  if (filtered == nullptr) out.stats.docs_scanned = eval.docs_navigated();
   out.stats.xquery_evals = 1;
 
   out.rows.reserve(out.items.size());
@@ -621,30 +598,16 @@ std::string Database::RenderXQueryLint(const std::string& query) {
   return AnalyzeXQuery(*parsed, query, &catalog_).Render(query);
 }
 
-Result<ResultSet> Database::RunDeleteStmt(const DeleteStmt& stmt,
+Result<ResultSet> Database::RunDeleteStmt(const SelectStmt& victims,
+                                          const SelectPlan& plan,
+                                          uint64_t write_epoch,
                                           const ExecOptions& options) {
-  size_t deleted = 0;
-  ExecStats exec_stats;
-  {
-    WriteTicket ticket(epoch_manager_);
-    // Victims are evaluated against the last committed epoch (everything
-    // visible before this statement) and tombstoned at the write epoch, so
-    // concurrent pinned readers keep seeing them until this commits.
-    SqlExecutor executor(&catalog_, epoch_manager_.current());
-    if (options.disable_structural) executor.set_structural_enabled(false);
-    if (options.disable_batch) executor.set_batch_enabled(false);
-    auto n = executor.RunDelete(stmt, ticket.write_epoch(), &exec_stats);
-    if (!n.ok()) return n.status();  // no victims stamped before an error
-    deleted = *n;
-  }
-  // Post-commit: physically unindex whatever no snapshot can see anymore.
-  // With no pins outstanding this drains the statement's own tombstones
-  // immediately — single-session behaviour is unchanged.
-  VacuumTable(stmt.table_name);
-  ResultSet out;
-  out.stats = exec_stats;  // predicate counters, merged across chunks
-  out.stats.rows_scanned = static_cast<long long>(deleted);
-  return out;
+  // Victims are selected at the last committed epoch (everything visible
+  // before this statement) and tombstoned at the write epoch, so
+  // concurrent pinned readers keep seeing them until this commits.
+  SqlExecutor executor(&catalog_, epoch_manager_.current());
+  ApplyExecOptions(options, &executor);
+  return executor.RunDelete(victims, plan, write_epoch);
 }
 
 void Database::VacuumTable(const std::string& table_name) {

@@ -114,7 +114,12 @@ class Database {
   Result<ResultSet> RunCreateTable(const CreateTableStmt& stmt);
   Result<ResultSet> RunCreateIndex(const CreateIndexStmt& stmt);
   Result<ResultSet> RunInsert(const InsertStmt& stmt, uint64_t write_epoch);
-  Result<ResultSet> RunDeleteStmt(const DeleteStmt& stmt,
+  /// DELETE: tombstones the rows `victims` (the statement's SELECT * FROM
+  /// t [WHERE c]) selects under `plan`, with the same ExecOptions switches
+  /// a SELECT honours. Runs under the caller's write ticket.
+  Result<ResultSet> RunDeleteStmt(const SelectStmt& victims,
+                                  const SelectPlan& plan,
+                                  uint64_t write_epoch,
                                   const ExecOptions& options);
 
   /// Physically erases index entries of rows no live or future snapshot
@@ -123,8 +128,9 @@ class Database {
   void VacuumTable(const std::string& table_name);
 
   /// Executes a compiled SELECT / XQuery (shared by the cache-hit and
-  /// freshly-compiled paths). `options` carries only runtime knobs here
-  /// (disable_structural); plan forcing happened at plan time.
+  /// freshly-compiled paths). `options` carries only the runtime switches
+  /// here (disable_structural/batch/static); plan forcing happened at plan
+  /// time.
   Result<ResultSet> RunSelect(const SelectStmt& stmt, const SelectPlan& plan,
                               const ExecOptions& options);
   Result<XQueryResult> RunXQuery(const ParsedQuery& parsed,

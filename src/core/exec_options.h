@@ -25,15 +25,13 @@ struct ExecOptions {
 
   /// Disables the structural-join (pre/post interval) axis evaluation for
   /// this execution, falling back to the recursive tree walk. This is the
-  /// per-execution form of the XQDB_STRUCTURAL=off escape hatch and the
   /// hook for the structural-vs-recursive differential oracle: both
   /// evaluations must produce identical results on every query.
   bool disable_structural = false;
 
   /// Disables batch-at-a-time (vectorized) predicate execution and covering
   /// index-only plans for this execution, falling back to row-at-a-time
-  /// EvalPredicate and document evaluation. The per-execution form of the
-  /// XQDB_BATCH=off escape hatch and the hook for the batch-vs-row
+  /// EvalPredicate and document evaluation. The hook for the batch-vs-row
   /// differential oracle: both executions must produce identical results on
   /// every query.
   bool disable_batch = false;
@@ -41,9 +39,9 @@ struct ExecOptions {
   /// Disables static type/cardinality folding for this execution: the
   /// planner neither prunes statically-false predicates to constant-empty
   /// plans nor drops proven-true conjuncts, and cached statically-folded
-  /// plans are bypassed. The per-execution form of the XQDB_STATIC=off
-  /// escape hatch and the hook for the static-vs-unoptimized differential
-  /// oracle: both executions must produce identical results on every query.
+  /// plans are bypassed. The hook for the static-vs-unoptimized
+  /// differential oracle: both executions must produce identical results on
+  /// every query.
   bool disable_static = false;
 
   /// Emits a JSON QueryTrace record for this execution to the trace sink

@@ -26,10 +26,9 @@ class Planner {
  public:
   explicit Planner(const Catalog* catalog) : catalog_(catalog) {}
 
-  /// Per-statement override of the static-folding default
-  /// (ExecOptions::disable_static / the XQDB_STATIC knob). Off, the
-  /// planner emits no StaticFold entries and never marks a plan
-  /// STATIC EMPTY — the unoptimized shape the differential oracle runs.
+  /// Off (ExecOptions::disable_static), the planner emits no StaticFold
+  /// entries and never marks a plan STATIC EMPTY — the unoptimized shape
+  /// the differential oracle runs.
   void set_static_enabled(bool enabled) { static_enabled_ = enabled; }
 
   Result<SelectPlan> PlanSelect(const SelectStmt& stmt) const;
@@ -51,7 +50,7 @@ class Planner {
                            SelectPlan* plan) const;
 
   const Catalog* catalog_;
-  bool static_enabled_ = StaticFoldDefault();
+  bool static_enabled_ = true;
 };
 
 /// Collects the distinct db2-fn:xmlcolumn sources in an expression tree.

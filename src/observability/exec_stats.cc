@@ -3,6 +3,7 @@
 #include <time.h>
 
 #include <cstdio>
+#include <iterator>
 
 namespace xqdb {
 
@@ -44,7 +45,18 @@ constexpr Field kTimings[] = {
     {"total_ns", &ExecStats::total_ns},
 };
 
+// Every field has exactly one row above: ExecStats holds nothing else.
+static_assert(sizeof(ExecStats) ==
+                  (std::size(kCounters) + std::size(kTimings)) *
+                      sizeof(long long),
+              "every ExecStats field needs a kCounters or kTimings row");
+
 }  // namespace
+
+void ExecStats::Merge(const ExecStats& o) {
+  for (const Field& f : kCounters) this->*f.member += o.*f.member;
+  for (const Field& f : kTimings) this->*f.member += o.*f.member;
+}
 
 long long ThreadCpuNs() {
   timespec ts{};

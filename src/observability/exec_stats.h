@@ -17,6 +17,10 @@ namespace xqdb {
 /// worker chunk a private ExecStats and Merge() them after the join, so no
 /// counter is ever written concurrently and the disabled-tracing overhead
 /// stays at an increment per event.
+///
+/// Every field is listed once, in exec_stats.cc's counter and timing
+/// tables, which Merge, ToJson and Render walk; a static_assert there
+/// fails the build when a field is added here without its table row.
 struct ExecStats {
   // -- Access-path counters -----------------------------------------------
   long long rows_scanned = 0;         // base-table rows fetched (all paths)
@@ -74,31 +78,7 @@ struct ExecStats {
   /// Folds a worker chunk's counters into this one (parallel scans keep
   /// per-chunk ExecStats and sum them after the join, so no counter is
   /// written concurrently).
-  void Merge(const ExecStats& o) {
-    rows_scanned += o.rows_scanned;
-    docs_scanned += o.docs_scanned;
-    index_entries_probed += o.index_entries_probed;
-    index_docs_returned += o.index_docs_returned;
-    rows_filtered += o.rows_filtered;
-    xquery_evals += o.xquery_evals;
-    batches_executed += o.batches_executed;
-    batch_rows += o.batch_rows;
-    index_only_rows += o.index_only_rows;
-    cast_failures += o.cast_failures;
-    nfa_matches += o.nfa_matches;
-    pool_tasks += o.pool_tasks;
-    plan_cache_hits += o.plan_cache_hits;
-    structural_join_emitted += o.structural_join_emitted;
-    intervals_compared += o.intervals_compared;
-    summary_pruned_paths += o.summary_pruned_paths;
-    static_pruned_exprs += o.static_pruned_exprs;
-    static_folded_conjuncts += o.static_folded_conjuncts;
-    parse_ns += o.parse_ns;
-    plan_ns += o.plan_ns;
-    exec_ns += o.exec_ns;
-    total_ns += o.total_ns;
-    cpu_ns += o.cpu_ns;
-  }
+  void Merge(const ExecStats& o);
 
   /// One-line JSON object (trace sink, xqdiff divergence reports,
   /// bench_parallel's reporter).

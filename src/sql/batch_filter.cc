@@ -1,62 +1,14 @@
 #include "sql/batch_filter.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
-#include "common/str_util.h"
 #include "xdm/cast.h"
 #include "xdm/item.h"
 #include "xpath/pattern.h"
 #include "xquery/ast.h"
 #include "xquery/parser.h"
-#include "xquery/structural_join.h"
 
 namespace xqdb {
-
-namespace {
-
-/// -1 = not yet resolved from the environment; 0/1 = resolved/overridden.
-std::atomic<int> g_batch_default{-1};
-
-bool ReadEnvDefault() {
-  const char* v = GetEnvRaw("XQDB_BATCH");
-  if (v == nullptr) return true;
-  if (auto parsed = ParseBatchKnob(v)) return *parsed;
-  static const bool warned = [v] {
-    std::fprintf(stderr,
-                 "xqdb: XQDB_BATCH: ignoring unrecognized value \"%s\" "
-                 "(accepted: 0, 1, on, off); batch execution stays on\n",
-                 v);
-    return true;
-  }();
-  (void)warned;
-  return true;
-}
-
-}  // namespace
-
-std::optional<bool> ParseBatchKnob(std::string_view text) {
-  // Same strict grammar as XQDB_STRUCTURAL, on purpose: one habit works for
-  // every xqdb escape hatch.
-  return ParseStructuralKnob(text);
-}
-
-bool BatchExecDefault() {
-  int s = g_batch_default.load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = ReadEnvDefault() ? 1 : 0;
-    // Racing first calls resolve the same environment value; any later
-    // SetBatchExecDefault wins via plain store.
-    g_batch_default.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void SetBatchExecDefault(bool enabled) {
-  g_batch_default.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -364,8 +316,7 @@ BatchProgram CompileBatchProgram(
   return program;
 }
 
-void RunBatchKernel(const BatchKernel& kernel,
-                    const std::vector<std::vector<SqlValue>>& rows,
+void RunBatchKernel(const BatchKernel& kernel, const RowRefs& rows,
                     const std::vector<uint32_t>& sel, ValueBatch* scratch,
                     std::vector<uint8_t>* verdicts, ExecStats* stats) {
   verdicts->resize(sel.size());
@@ -378,7 +329,7 @@ void RunBatchKernel(const BatchKernel& kernel,
       scratch->row_begin.push_back(
           static_cast<uint32_t>(scratch->values.size()));
       scratch->row_flags.push_back(
-          GatherRow(kernel, rows[sel[base + i]], scratch));
+          GatherRow(kernel, *rows[sel[base + i]], scratch));
     }
     scratch->row_begin.push_back(static_cast<uint32_t>(scratch->values.size()));
     ++stats->batches_executed;

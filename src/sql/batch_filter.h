@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "observability/exec_stats.h"
@@ -17,19 +16,9 @@
 
 namespace xqdb {
 
-/// Process-wide default for batch-at-a-time (vectorized) predicate
-/// execution and covering index-only plans. Reads XQDB_BATCH once on first
-/// use; unset or unrecognized text enables it (the latter with a one-time
-/// warning). The setter overrides the environment — benches and the
-/// batch-vs-row differential oracle flip it to time/compare the
-/// row-at-a-time path.
-bool BatchExecDefault();
-void SetBatchExecDefault(bool enabled);
-
-/// Strict knob grammar, shared with XQDB_STRUCTURAL: exactly "0"/"off"
-/// (disable) or "1"/"on" (enable), ASCII case-insensitive for the words,
-/// surrounding whitespace ignored. Anything else is nullopt.
-std::optional<bool> ParseBatchKnob(std::string_view text);
+/// The rows a WHERE clause reads, by reference: table storage for a
+/// base-table scan, combined rows for join and XMLTABLE steps.
+using RowRefs = std::vector<const std::vector<SqlValue>*>;
 
 /// One vectorizable WHERE conjunct, compiled from a provably-equivalent
 /// XMLEXISTS shape (see CompileBatchProgram). The embedded XQuery
@@ -121,8 +110,7 @@ inline constexpr size_t kBatchRows = 256;
 /// row-at-a-time predicate so results and error messages are
 /// indistinguishable from batch-off execution. Counts batches_executed and
 /// batch_rows into `stats`.
-void RunBatchKernel(const BatchKernel& kernel,
-                    const std::vector<std::vector<SqlValue>>& rows,
+void RunBatchKernel(const BatchKernel& kernel, const RowRefs& rows,
                     const std::vector<uint32_t>& sel, ValueBatch* scratch,
                     std::vector<uint8_t>* verdicts, ExecStats* stats);
 

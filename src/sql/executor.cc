@@ -1,8 +1,10 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
+#include "analysis/static_types.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "xdm/cast.h"
@@ -258,37 +260,42 @@ Result<bool> SqlExecutor::EvalPredicate(const SqlExpr& e,
   }
 }
 
-Status SqlExecutor::FilterChunkRows(
-    const SqlExpr& where, const std::vector<ColumnSlot>& schema,
-    const std::vector<std::vector<SqlValue>>& rows, size_t lo, size_t hi,
-    QueryRuntime* runtime, ExecStats* stats, std::vector<char>* keep) {
-  keep->assign(hi - lo, 0);
-  for (size_t i = lo; i < hi; ++i) {
+Status SqlExecutor::FilterChunkRows(const SqlExpr& where,
+                                    const std::vector<ColumnSlot>& schema,
+                                    const RowRefs& rows,
+                                    QueryRuntime* runtime, ExecStats* stats,
+                                    std::vector<uint32_t>* kept) {
+  for (size_t i = 0; i < rows.size(); ++i) {
     XQDB_ASSIGN_OR_RETURN(
-        bool b, EvalPredicate(where, schema, rows[i], runtime, stats));
-    (*keep)[i - lo] = b ? 1 : 0;
-    if (!b) ++stats->rows_filtered;
+        bool b, EvalPredicate(where, schema, *rows[i], runtime, stats));
+    if (b) {
+      kept->push_back(static_cast<uint32_t>(i));
+    } else {
+      ++stats->rows_filtered;
+    }
   }
   return Status::OK();
 }
 
-Status SqlExecutor::FilterChunkBatch(
-    const BatchProgram& program, const std::vector<ColumnSlot>& schema,
-    const std::vector<std::vector<SqlValue>>& rows, size_t lo, size_t hi,
-    QueryRuntime* runtime, ExecStats* stats, std::vector<char>* keep) {
+Status SqlExecutor::FilterChunkBatch(const BatchProgram& program,
+                                     const std::vector<ColumnSlot>& schema,
+                                     const RowRefs& rows,
+                                     QueryRuntime* runtime, ExecStats* stats,
+                                     std::vector<uint32_t>* kept) {
+  const size_t n = rows.size();
   // Selection vector of surviving row indices, ascending. Conjuncts narrow
   // it left-to-right, which reproduces row-at-a-time AND short-circuit: a
   // row rejected by conjunct i never evaluates conjunct i+1.
   std::vector<uint32_t> sel;
-  sel.reserve(hi - lo);
-  for (size_t i = lo; i < hi; ++i) sel.push_back(static_cast<uint32_t>(i));
+  sel.reserve(n);
+  for (size_t i = 0; i < n; ++i) sel.push_back(static_cast<uint32_t>(i));
 
   // Conjunct-major evaluation surfaces errors in a different order than
   // row-major evaluation, so errors are collected instead of returned
   // eagerly: a row errors here iff it errors row-at-a-time (it reaches the
   // erroring conjunct iff it survived the earlier ones), and the lowest
   // erroring row is exactly the row the row-at-a-time pass stops at.
-  size_t error_row = hi;
+  size_t error_row = n;
   Status error = Status::OK();
 
   ValueBatch scratch;
@@ -323,7 +330,7 @@ Status SqlExecutor::FilterChunkBatch(
         if (v == kBatchRowFalse) continue;
         // kBatchRowFallback: exact re-evaluation of this conjunct only.
       }
-      auto b = EvalPredicate(*step.conjunct, schema, rows[r], runtime, stats);
+      auto b = EvalPredicate(*step.conjunct, schema, *rows[r], runtime, stats);
       if (!b.ok()) {
         error = b.status();
         error_row = r;
@@ -333,30 +340,30 @@ Status SqlExecutor::FilterChunkBatch(
     }
     std::swap(sel, next);
   }
-  if (error_row != hi) return error;
+  if (error_row != n) return error;
 
-  keep->assign(hi - lo, 0);
-  for (uint32_t r : sel) (*keep)[r - lo] = 1;
-  stats->rows_filtered += static_cast<long long>((hi - lo) - sel.size());
+  kept->insert(kept->end(), sel.begin(), sel.end());
+  stats->rows_filtered += static_cast<long long>(n - sel.size());
   return Status::OK();
 }
 
-Result<std::vector<std::vector<SqlValue>>> SqlExecutor::FilterRows(
-    const SqlExpr& where, const std::vector<ColumnSlot>& schema,
-    std::vector<std::vector<SqlValue>> rows, QueryRuntime* runtime,
-    ExecStats* stats) {
+Status SqlExecutor::FilterRows(const SqlExpr* where,
+                               const std::vector<ColumnSlot>& schema,
+                               size_t count, const RowFetch& fetch,
+                               QueryRuntime* runtime, ExecStats* stats,
+                               RowRefs* kept_rows,
+                               std::vector<uint32_t>* kept_ids) {
   ThreadPool& pool = ThreadPool::Global();
-  const size_t n = rows.size();
 
   // Compile the WHERE clause's vectorizable conjuncts once per statement.
   // Slot resolution must agree with EvalScalar's kColumnRef rules:
   // ambiguous or unresolved references stay un-batched so the exact path
   // reports the identical error.
   BatchProgram program;
-  if (batch_enabled_ && n > 0) {
+  if (where != nullptr && batch_enabled_ && count > 0) {
     program = CompileBatchProgram(
-        where, [&schema](const std::string& qualifier,
-                         const std::string& column) -> int {
+        *where, [&schema](const std::string& qualifier,
+                          const std::string& column) -> int {
           int found = -1;
           for (size_t i = 0; i < schema.size(); ++i) {
             if (schema[i].name != column) continue;
@@ -369,130 +376,190 @@ Result<std::vector<std::vector<SqlValue>>> SqlExecutor::FilterRows(
           return found;
         });
   }
-  const bool use_batch = program.any_kernel;
-
-  if (pool.thread_count() <= 1 || n < kParallelRowThreshold) {
-    std::vector<char> keep;
-    XQDB_RETURN_IF_ERROR(
-        use_batch ? FilterChunkBatch(program, schema, rows, 0, n, runtime,
-                                     stats, &keep)
-                  : FilterChunkRows(where, schema, rows, 0, n, runtime, stats,
-                                    &keep));
-    std::vector<std::vector<SqlValue>> kept;
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) kept.push_back(std::move(rows[i]));
+  // One chunk: fetch the candidates at [lo, hi) kBatchRows at a time and
+  // keep those passing WHERE. Fetching by batch bounds the scratch a chunk
+  // allocates, however many dead slots its range holds. Batches run in
+  // order and the first error stops the chunk, so the error reported is
+  // still the row-at-a-time pass's first.
+  auto filter_chunk = [&](size_t lo, size_t hi, QueryRuntime* chunk_runtime,
+                          ExecStats* chunk_stats, RowRefs* out_rows,
+                          std::vector<uint32_t>* out_ids) -> Status {
+    RowRefs rows;
+    std::vector<uint32_t> ids;
+    std::vector<uint32_t> kept;
+    for (size_t begin = lo; begin < hi; begin += kBatchRows) {
+      rows.clear();
+      ids.clear();
+      kept.clear();
+      fetch(begin, std::min(hi, begin + kBatchRows), &rows, &ids,
+            chunk_stats);
+      if (where == nullptr) {
+        out_rows->insert(out_rows->end(), rows.begin(), rows.end());
+        out_ids->insert(out_ids->end(), ids.begin(), ids.end());
+        continue;
+      }
+      XQDB_RETURN_IF_ERROR(
+          program.any_kernel
+              ? FilterChunkBatch(program, schema, rows, chunk_runtime,
+                                 chunk_stats, &kept)
+              : FilterChunkRows(*where, schema, rows, chunk_runtime,
+                                chunk_stats, &kept));
+      for (uint32_t k : kept) {
+        out_rows->push_back(rows[k]);
+        out_ids->push_back(ids[k]);
+      }
     }
-    return kept;
+    return Status::OK();
+  };
+
+  if (where == nullptr || pool.thread_count() <= 1 ||
+      count < kParallelRowThreshold) {
+    return filter_chunk(0, count, runtime, stats, kept_rows, kept_ids);
   }
 
-  // Parallel path: each chunk evaluates its rows with a private
-  // QueryRuntime (predicate temporaries — constructed nodes — never
-  // outlive the predicate) and private ExecStats; the verdict bitmap is
-  // written to disjoint per-chunk slots, so the only shared state is the
-  // read-only table storage behind `rows`. Chunk results merge in chunk
-  // (row) order: the first erroring chunk's error wins, and counter totals
-  // equal the serial pass (each row contributes to exactly one chunk).
-  const size_t grain = PredicateGrain(n, pool.thread_count());
-  const size_t chunks = (n + grain - 1) / grain;
+  // Parallel path: each chunk fetches and evaluates its candidates with a
+  // private QueryRuntime (predicate temporaries — constructed nodes —
+  // never outlive the predicate), private ExecStats and private survivor
+  // lists, so the only shared state is the read-only rows. Chunk results
+  // merge in chunk (row) order: the first erroring chunk's error wins, and
+  // counter totals equal the serial pass (each candidate belongs to
+  // exactly one chunk).
+  const size_t grain = PredicateGrain(count, pool.thread_count());
+  const size_t chunks = (count + grain - 1) / grain;
   struct ChunkOut {
-    std::vector<char> keep;
+    RowRefs rows;
+    std::vector<uint32_t> ids;
     ExecStats stats;
     Status error = Status::OK();
   };
   std::vector<ChunkOut> outs(chunks);
   const std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
+  pool.ParallelFor(0, count, grain, [&](size_t lo, size_t hi) {
     ChunkOut& out = outs[lo / grain];
     ChunkCpuMeter cpu(&out.stats, caller);
     QueryRuntime chunk_runtime;
-    out.error = use_batch
-                    ? FilterChunkBatch(program, schema, rows, lo, hi,
-                                       &chunk_runtime, &out.stats, &out.keep)
-                    : FilterChunkRows(where, schema, rows, lo, hi,
-                                      &chunk_runtime, &out.stats, &out.keep);
+    out.error = filter_chunk(lo, hi, &chunk_runtime, &out.stats, &out.rows,
+                             &out.ids);
   });
-  std::vector<std::vector<SqlValue>> kept;
-  for (size_t c = 0; c < chunks; ++c) {
-    XQDB_RETURN_IF_ERROR(outs[c].error);
-    stats->Merge(outs[c].stats);
-    for (size_t i = 0; i < outs[c].keep.size(); ++i) {
-      if (outs[c].keep[i]) kept.push_back(std::move(rows[c * grain + i]));
-    }
+  for (const ChunkOut& out : outs) {
+    XQDB_RETURN_IF_ERROR(out.error);
+    stats->Merge(out.stats);
+    kept_rows->insert(kept_rows->end(), out.rows.begin(), out.rows.end());
+    kept_ids->insert(kept_ids->end(), out.ids.begin(), out.ids.end());
   }
-  return kept;
+  return Status::OK();
 }
 
-Result<size_t> SqlExecutor::RunDelete(const DeleteStmt& stmt,
-                                      uint64_t write_epoch,
-                                      ExecStats* out_stats) {
-  XQDB_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(stmt.table_name));
-  std::vector<ColumnSlot> schema;
-  for (const ColumnDef& col : table->columns()) {
-    schema.push_back(ColumnSlot{table->name(), col.name});
-  }
-  ExecStats stats;
-  const size_t n = table->row_count();
-  std::vector<uint32_t> victims;
-  ThreadPool& pool = ThreadPool::Global();
-  if (stmt.where == nullptr || pool.thread_count() <= 1 ||
-      n < kParallelRowThreshold) {
-    QueryRuntime runtime;
-    for (uint32_t r = 0; r < n; ++r) {
-      if (!table->VisibleAt(r, snapshot_epoch_)) continue;
-      if (stmt.where != nullptr) {
-        XQDB_ASSIGN_OR_RETURN(
-            bool hit, EvalPredicate(*stmt.where, schema, table->row(r),
-                                    &runtime, &stats));
-        if (!hit) continue;
-      }
-      victims.push_back(r);
-    }
-  } else {
-    // Parallel victim detection; mutation (DeleteRow) stays on the calling
-    // thread because index maintenance writes shared B-trees.
-    const size_t grain = PredicateGrain(n, pool.thread_count());
-    const size_t chunks = (n + grain - 1) / grain;
-    struct ChunkOut {
-      std::vector<uint32_t> victims;
-      ExecStats stats;
-      Status error = Status::OK();
-    };
-    std::vector<ChunkOut> outs(chunks);
-    const std::thread::id caller = std::this_thread::get_id();
-    pool.ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
-      ChunkOut& out = outs[lo / grain];
-      ChunkCpuMeter cpu(&out.stats, caller);
-      QueryRuntime runtime;
-      for (size_t r = lo; r < hi; ++r) {
-        uint32_t rid = static_cast<uint32_t>(r);
-        if (!table->VisibleAt(rid, snapshot_epoch_)) continue;
-        auto hit = EvalPredicate(*stmt.where, schema, table->row(rid),
-                                 &runtime, &out.stats);
-        if (!hit.ok()) {
-          out.error = hit.status();
-          return;
-        }
-        if (*hit) out.victims.push_back(rid);
-      }
-    });
-    for (ChunkOut& out : outs) {
-      XQDB_RETURN_IF_ERROR(out.error);
-      stats.Merge(out.stats);
-      victims.insert(victims.end(), out.victims.begin(), out.victims.end());
+Result<AdmittedRows> ProbeAccessPath(const Table& table,
+                                     const AccessPath& path,
+                                     ExecStats* stats) {
+  if (path.summary_containment) {
+    // Data-dependent eligibility (summary-derived containment): the claim
+    // depends on the collection's path set at plan time, so re-verify it
+    // against the live summary (a trie walk, not a data scan) and demote
+    // to a scan when DML has grown the path set past the index pattern.
+    const PathSummary* summary = table.path_summary(path.summary_column);
+    if (summary == nullptr || path.summary_nfa == nullptr ||
+        path.containment_nfa == nullptr ||
+        !summary->MatchedPathsCoveredBy(*path.summary_nfa,
+                                        *path.containment_nfa)) {
+      return AdmittedRows();
     }
   }
-  for (uint32_t r : victims) {
-    XQDB_RETURN_IF_ERROR(table->DeleteRow(r, write_epoch));
+  ProbeStats pstats;
+  std::vector<uint32_t> rows;
+  switch (path.kind) {
+    case AccessPath::Kind::kIndexRange:
+    case AccessPath::Kind::kIndexStructural: {
+      XQDB_ASSIGN_OR_RETURN(rows,
+                            path.index->ProbeRange(path.lo, path.hi, &pstats));
+      break;
+    }
+    case AccessPath::Kind::kSummaryExistence: {
+      const PathSummary* summary = table.path_summary(path.summary_column);
+      PathSummary::MatchStats mstats;
+      if (summary != nullptr && path.summary_nfa != nullptr) {
+        rows = summary->MatchRows(*path.summary_nfa, &mstats);
+      }
+      stats->summary_pruned_paths += mstats.pruned_paths;
+      break;
+    }
+    case AccessPath::Kind::kIndexIntersect: {
+      XQDB_ASSIGN_OR_RETURN(std::vector<uint32_t> a,
+                            path.index->ProbeRange(path.lo, path.hi, &pstats));
+      XQDB_ASSIGN_OR_RETURN(
+          std::vector<uint32_t> b,
+          path.index2->ProbeRange(path.lo2, path.hi2, &pstats));
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(rows));
+      break;
+    }
+    case AccessPath::Kind::kFullScan:
+    case AccessPath::Kind::kIndexJoinProbe:
+    case AccessPath::Kind::kIndexOnly:
+      return AdmittedRows();
   }
-  if (out_stats != nullptr) out_stats->Merge(stats);
-  return victims.size();
+  stats->index_entries_probed += static_cast<long long>(pstats.entries_scanned);
+  stats->index_docs_returned += static_cast<long long>(rows.size());
+  return AdmittedRows(std::move(rows));
 }
 
-Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
-                                   const SelectPlan& plan) {
-  ResultSet rs;
-  rs.runtime = std::make_shared<QueryRuntime>();
-  ExecStats& stats = rs.stats;
+Result<AdmittedRows> SqlExecutor::ProbeJoinKey(
+    const AccessPath& path, const std::vector<ColumnSlot>& base_schema,
+    const Row& base, QueryRuntime* runtime, ExecStats* stats) {
+  // Tips 5/6 made executable: evaluate the outer join key against this
+  // row, then probe the inner table's index with it.
+  Evaluator eval(&path.join_source->parsed.static_context,
+                 &snapshot_provider_, runtime);
+  eval.set_structural_enabled(structural_enabled_);
+  eval.set_stats(stats);
+  for (const PassingArg& arg : path.join_source->passing) {
+    auto value = EvalScalar(*arg.value, base_schema, base, runtime, stats);
+    if (!value.ok()) continue;  // References this (inner) table.
+    XQDB_ASSIGN_OR_RETURN(Sequence seq, PassingToSequence(*value));
+    eval.BindVariable(arg.var_name, std::move(seq));
+  }
+  auto keys = eval.Eval(*path.join_key_expr);
+  if (!keys.ok()) return AdmittedRows();
+  XQDB_ASSIGN_OR_RETURN(Sequence atoms, Atomize(*keys));
+  ProbeStats pstats;
+  std::set<uint32_t> hit;
+  for (const Item& key : atoms) {
+    auto probed = path.index->ProbeEqual(key.atomic(), &pstats);
+    if (!probed.ok()) {
+      // Uncastable key: no matches (tolerant, like build skips).
+      ++stats->cast_failures;
+      continue;
+    }
+    hit.insert(probed->begin(), probed->end());
+  }
+  stats->index_entries_probed += static_cast<long long>(pstats.entries_scanned);
+  stats->index_docs_returned += static_cast<long long>(hit.size());
+  return AdmittedRows(std::vector<uint32_t>(hit.begin(), hit.end()));
+}
+
+Status SqlExecutor::Select(const SelectStmt& stmt, const SelectPlan& plan,
+                           QueryRuntime* runtime, ExecStats* stats,
+                           Selection* out) {
+  // The FROM list's schema, and where each item's columns begin in it.
+  std::vector<Table*> tables;
+  std::vector<size_t> width;
+  for (const TableRef& ref : stmt.from) {
+    width.push_back(out->schema.size());
+    if (ref.kind == TableRef::Kind::kBaseTable) {
+      XQDB_ASSIGN_OR_RETURN(Table * table,
+                            catalog_->GetTable(ref.table_name));
+      tables.push_back(table);
+      for (const ColumnDef& col : table->columns()) {
+        out->schema.push_back(ColumnSlot{ref.alias, col.name});
+      }
+    } else {
+      tables.push_back(nullptr);
+      for (const XmlTableColumn& col : ref.columns) {
+        out->schema.push_back(ColumnSlot{ref.alias, col.name});
+      }
+    }
+  }
 
   // Re-verify the plan's static folds against the live path summaries and
   // install the surviving ones. An emptiness proof is only as current as
@@ -512,224 +579,137 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
       }
       static_folds_[fold.conjunct] = fold.value;
       if (fold.value) {
-        ++stats.static_folded_conjuncts;
+        ++stats->static_folded_conjuncts;
       } else {
-        ++stats.static_pruned_exprs;
+        ++stats->static_pruned_exprs;
       }
       if (!fold.value && fold.first_conjunct && plan.static_empty) {
         statically_empty = true;
       }
     }
   }
-  if (statically_empty) {
-    // The first conjunct is constant false over an all-base-table FROM:
-    // no row can survive and nothing that could raise ever runs, so
-    // answer with the schema alone — zero rows, zero documents opened.
-    std::vector<ColumnSlot> schema;
-    for (const TableRef& ref : stmt.from) {
-      XQDB_ASSIGN_OR_RETURN(Table * table,
-                            catalog_->GetTable(ref.table_name));
-      for (const ColumnDef& col : table->columns()) {
-        schema.push_back(ColumnSlot{ref.alias, col.name});
-      }
+  // The first conjunct is constant false over an all-base-table FROM: no
+  // row can survive and nothing that could raise ever runs, so select
+  // nothing — zero rows, zero documents opened.
+  if (statically_empty) return Status::OK();
+
+  if (stmt.from.size() == 1 && tables[0] != nullptr) {
+    // One base table, read in place: the visibility test runs in stage 2's
+    // chunks, next to the WHERE.
+    const Table* table = tables[0];
+    AdmittedRows admitted;
+    if (!plan.access.empty()) {
+      XQDB_ASSIGN_OR_RETURN(admitted,
+                            ProbeAccessPath(*table, plan.access[0], stats));
     }
-    for (const SelectItem& item : stmt.items) {
-      if (item.star) {
-        for (const ColumnSlot& slot : schema) {
-          rs.columns.push_back(slot.name);
-        }
-      } else if (!item.alias.empty()) {
-        rs.columns.push_back(item.alias);
-      } else if (item.expr->kind == SqlExprKind::kColumnRef) {
-        rs.columns.push_back(item.expr->column);
-      } else {
-        rs.columns.push_back(std::to_string(rs.columns.size() + 1));
+    const size_t count =
+        admitted.has_value() ? admitted->size() : table->row_count();
+    auto fetch = [&](size_t lo, size_t hi, RowRefs* rows,
+                     std::vector<uint32_t>* ids, ExecStats* chunk_stats) {
+      for (size_t i = lo; i < hi; ++i) {
+        const uint32_t r =
+            admitted.has_value() ? (*admitted)[i] : static_cast<uint32_t>(i);
+        // Outside the snapshot: inserted after it, deleted at or before
+        // it, or (index entry for a row still being inserted) unpublished.
+        if (!table->VisibleAt(r, snapshot_epoch_)) continue;
+        rows->push_back(&table->row(r));
+        ids->push_back(r);
       }
-    }
-    return rs;
+      const auto visited = static_cast<long long>(rows->size());
+      chunk_stats->rows_scanned += visited;
+      // Definition 1's audit trail: a row visited with no index pre-filter
+      // is a scanned document; pre-filtered visits are already metered as
+      // index_docs_returned at the probe site.
+      if (!admitted.has_value()) chunk_stats->docs_scanned += visited;
+    };
+    return FilterRows(stmt.where.get(), out->schema, count, fetch, runtime,
+                      stats, &out->rows, &out->row_ids);
   }
 
-  std::vector<ColumnSlot> schema;
-  std::vector<std::vector<SqlValue>> rows;
-  rows.emplace_back();  // One empty row to seed the joins.
-
+  // Joins, XMLTABLE and VALUES: build the FROM product, then filter it.
+  out->built.emplace_back();  // One empty row to seed the FROM product.
+  RowRefs rows = {&out->built[0]};
   for (size_t i = 0; i < stmt.from.size(); ++i) {
     const TableRef& ref = stmt.from[i];
-    const AccessPath* path =
-        i < plan.access.size() ? &plan.access[i] : nullptr;
-    std::vector<std::vector<SqlValue>> next;
+    const std::vector<ColumnSlot> base_schema(
+        out->schema.begin(),
+        out->schema.begin() + static_cast<ptrdiff_t>(width[i]));
+    // Rows with no columns before this item's: its rows need no prefix and
+    // are read in place.
+    const bool in_place = width[i] == 0;
+    RowRefs next;
+    std::vector<Row> built;
 
     if (ref.kind == TableRef::Kind::kBaseTable) {
-      XQDB_ASSIGN_OR_RETURN(Table * table,
-                            catalog_->GetTable(ref.table_name));
-      bool per_row_probe =
+      const Table* table = tables[i];
+      const AccessPath* path =
+          i < plan.access.size() ? &plan.access[i] : nullptr;
+      const bool per_row_probe =
           path != nullptr && path->kind == AccessPath::Kind::kIndexJoinProbe;
-
-      bool static_probe = !per_row_probe && path != nullptr &&
-                          path->kind != AccessPath::Kind::kFullScan;
-      if (static_probe && path->summary_containment) {
-        // Data-dependent eligibility (summary-derived containment): the
-        // claim depends on the collection's path set at plan time, so
-        // re-verify against the live summary and demote to a scan when
-        // DML has grown the path set past the index pattern.
-        const PathSummary* summary =
-            table->path_summary(path->summary_column);
-        static_probe =
-            summary != nullptr && path->summary_nfa != nullptr &&
-            path->containment_nfa != nullptr &&
-            summary->MatchedPathsCoveredBy(*path->summary_nfa,
-                                           *path->containment_nfa);
+      AdmittedRows admitted;
+      if (path != nullptr && !per_row_probe) {
+        XQDB_ASSIGN_OR_RETURN(admitted,
+                              ProbeAccessPath(*table, *path, stats));
       }
-
-      // Which row ids to visit (join probes recompute per outer row).
-      std::vector<uint32_t> static_row_ids;
-      if (static_probe) {
-        ProbeStats pstats;
-        switch (path->kind) {
-          case AccessPath::Kind::kIndexRange:
-          case AccessPath::Kind::kIndexStructural: {
-            XQDB_ASSIGN_OR_RETURN(
-                static_row_ids,
-                path->index->ProbeRange(path->lo, path->hi, &pstats));
-            break;
-          }
-          case AccessPath::Kind::kSummaryExistence: {
-            const PathSummary* summary =
-                table->path_summary(path->summary_column);
-            PathSummary::MatchStats mstats;
-            if (summary != nullptr && path->summary_nfa != nullptr) {
-              static_row_ids =
-                  summary->MatchRows(*path->summary_nfa, &mstats);
-            }
-            stats.summary_pruned_paths += mstats.pruned_paths;
-            break;
-          }
-          case AccessPath::Kind::kIndexIntersect: {
-            XQDB_ASSIGN_OR_RETURN(
-                std::vector<uint32_t> a,
-                path->index->ProbeRange(path->lo, path->hi, &pstats));
-            XQDB_ASSIGN_OR_RETURN(
-                std::vector<uint32_t> b,
-                path->index2->ProbeRange(path->lo2, path->hi2, &pstats));
-            std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                                  std::back_inserter(static_row_ids));
-            break;
-          }
-          default:
-            break;
-        }
-        stats.index_entries_probed += static_cast<long long>(pstats.entries_scanned);
-        stats.index_docs_returned +=
-            static_cast<long long>(static_row_ids.size());
-      } else if (!per_row_probe) {
-        // Full scan (or a demoted stale summary-containment probe).
-        static_row_ids.reserve(table->live_row_count());
-        for (uint32_t r = 0; r < table->row_count(); ++r) {
-          if (table->VisibleAt(r, snapshot_epoch_)) static_row_ids.push_back(r);
-        }
-      }
-
-      std::vector<ColumnSlot> base_schema(schema);
-      for (const ColumnDef& col : table->columns()) {
-        schema.push_back(ColumnSlot{ref.alias, col.name});
-      }
-      for (const auto& base : rows) {
-        std::vector<uint32_t> probe_row_ids;
-        const std::vector<uint32_t>* row_ids = &static_row_ids;
+      const bool from_index = per_row_probe || admitted.has_value();
+      long long visited = 0;
+      for (const Row* base : rows) {
+        AdmittedRows probed;
         if (per_row_probe) {
-          // Tips 5/6 made executable: evaluate the outer join key against
-          // this row, then probe the inner table's index with it.
-          Evaluator eval(&path->join_source->parsed.static_context,
-                         &snapshot_provider_, rs.runtime.get());
-          eval.set_structural_enabled(structural_enabled_);
-          eval.set_stats(&stats);
-          for (const PassingArg& arg : path->join_source->passing) {
-            auto value = EvalScalar(*arg.value, base_schema, base,
-                                    rs.runtime.get(), &stats);
-            if (!value.ok()) continue;  // References this (inner) table.
-            XQDB_ASSIGN_OR_RETURN(Sequence seq, PassingToSequence(*value));
-            eval.BindVariable(arg.var_name, std::move(seq));
-          }
-          auto keys = eval.Eval(*path->join_key_expr);
-          if (keys.ok()) {
-            XQDB_ASSIGN_OR_RETURN(Sequence atoms, Atomize(*keys));
-            ProbeStats pstats;
-            std::set<uint32_t> hit;
-            for (const Item& key : atoms) {
-              auto probed = path->index->ProbeEqual(key.atomic(), &pstats);
-              if (!probed.ok()) {
-                // Uncastable key: no matches (tolerant, like build skips).
-                ++stats.cast_failures;
-                continue;
-              }
-              hit.insert(probed->begin(), probed->end());
-            }
-            stats.index_entries_probed +=
-                static_cast<long long>(pstats.entries_scanned);
-            probe_row_ids.assign(hit.begin(), hit.end());
-            stats.index_docs_returned +=
-                static_cast<long long>(probe_row_ids.size());
-          } else {
-            // Could not compute the key (unexpected): fall back to pairing
-            // this outer row with every inner row; the residual WHERE
-            // keeps the result correct.
-            probe_row_ids.reserve(table->row_count());
-            for (uint32_t r = 0; r < table->row_count(); ++r) {
-              probe_row_ids.push_back(r);
-            }
-          }
-          row_ids = &probe_row_ids;
+          XQDB_ASSIGN_OR_RETURN(
+              probed, ProbeJoinKey(*path, base_schema, *base, runtime, stats));
         }
-        const bool from_index = per_row_probe || static_probe;
-        for (uint32_t r : *row_ids) {
-          // Outside the snapshot: inserted after it, deleted at or before
-          // it, or (index entry for a row still being inserted) unpublished.
-          if (!table->VisibleAt(r, snapshot_epoch_)) continue;
-          ++stats.rows_scanned;
-          // Definition 1's audit trail: a row visited with no index
-          // pre-filter is a scanned document; pre-filtered visits are
-          // already metered as index_docs_returned at the probe site.
-          if (!from_index) ++stats.docs_scanned;
-          std::vector<SqlValue> combined = base;
-          const std::vector<SqlValue>& trow = table->row(r);
+        const AdmittedRows& ids = per_row_probe ? probed : admitted;
+        auto visit = [&](uint32_t r) {
+          if (!table->VisibleAt(r, snapshot_epoch_)) return;
+          ++visited;
+          const Row& trow = table->row(r);
+          if (in_place) {
+            next.push_back(&trow);
+            return;
+          }
+          Row combined = *base;
           combined.insert(combined.end(), trow.begin(), trow.end());
-          next.push_back(std::move(combined));
+          built.push_back(std::move(combined));
+        };
+        if (ids.has_value()) {
+          for (uint32_t r : *ids) visit(r);
+        } else {
+          // Full scan, a demoted stale containment claim, or a join key
+          // that could not be computed (the residual WHERE keeps the
+          // pairing with every inner row exact).
+          const uint32_t n = static_cast<uint32_t>(table->row_count());
+          for (uint32_t r = 0; r < n; ++r) visit(r);
         }
       }
+      stats->rows_scanned += visited;
+      if (!from_index) stats->docs_scanned += visited;
     } else {
       // XMLTABLE: lateral evaluation against each current row.
-      size_t base_width = schema.size();
-      for (const XmlTableColumn& col : ref.columns) {
-        schema.push_back(ColumnSlot{ref.alias, col.name});
-      }
-      for (const auto& base : rows) {
-        std::vector<ColumnSlot> base_schema(schema.begin(),
-                                            schema.begin() +
-                                                static_cast<ptrdiff_t>(
-                                                    base_width));
+      for (const Row* base : rows) {
         XQDB_ASSIGN_OR_RETURN(
             Sequence row_items,
-            EvalEmbeddedXQuery(*ref.row_query, base_schema, base,
-                               rs.runtime.get(), &stats));
+            EvalEmbeddedXQuery(*ref.row_query, base_schema, *base, runtime,
+                               stats));
         long long ordinal = 0;
         for (const Item& item : row_items) {
           ++ordinal;
-          std::vector<SqlValue> combined = base;
+          Row combined = *base;
           for (const XmlTableColumn& col : ref.columns) {
             if (col.for_ordinality) {
               combined.push_back(SqlValue::Integer(ordinal));
               continue;
             }
             Evaluator eval(&ref.row_query->parsed.static_context,
-                           &snapshot_provider_, rs.runtime.get());
+                           &snapshot_provider_, runtime);
             eval.set_structural_enabled(structural_enabled_);
-            eval.set_stats(&stats);
+            eval.set_stats(stats);
             Focus focus;
             focus.has_item = true;
             focus.item = item;
             XQDB_ASSIGN_OR_RETURN(Sequence value,
                                   eval.EvalWithFocus(*col.path_expr, focus));
-            ++stats.xquery_evals;
+            ++stats->xquery_evals;
             if (col.is_xml) {
               if (col.by_ref) {
                 combined.push_back(SqlValue::Xml(std::move(value)));
@@ -741,9 +721,8 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
                     copied.push_back(v);
                     continue;
                   }
-                  Document* doc = rs.runtime->NewDocument();
-                  NodeIdx idx =
-                      DeepCopyNode(doc, kNullNode, v.node(), true);
+                  Document* doc = runtime->NewDocument();
+                  NodeIdx idx = DeepCopyNode(doc, kNullNode, v.node(), true);
                   copied.push_back(Item(NodeHandle{doc, idx}));
                 }
                 combined.push_back(SqlValue::Xml(std::move(copied)));
@@ -757,26 +736,41 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
               combined.push_back(std::move(cast));
             }
           }
-          next.push_back(std::move(combined));
+          built.push_back(std::move(combined));
         }
       }
     }
+    for (const Row& row : built) next.push_back(&row);
+    // `built` moves with its buffer, so `next` stays valid; the previous
+    // step's rows are no longer read.
+    out->built = std::move(built);
     rows = std::move(next);
   }
+  auto fetch = [&rows](size_t lo, size_t hi, RowRefs* fetched,
+                       std::vector<uint32_t>* ids, ExecStats*) {
+    fetched->insert(fetched->end(), rows.begin() + static_cast<ptrdiff_t>(lo),
+                    rows.begin() + static_cast<ptrdiff_t>(hi));
+    for (size_t i = lo; i < hi; ++i) ids->push_back(static_cast<uint32_t>(i));
+  };
+  std::vector<uint32_t> positions;
+  return FilterRows(stmt.where.get(), out->schema, rows.size(), fetch, runtime,
+                    stats, &out->rows, &positions);
+}
 
-  // WHERE. This is the ineligible-predicate fallback path: when no index
-  // pre-filters, every row evaluates its XMLEXISTS/XQuery predicates here,
-  // so the work fans out document-at-a-time to the thread pool.
-  if (stmt.where != nullptr) {
-    XQDB_ASSIGN_OR_RETURN(
-        rows, FilterRows(*stmt.where, schema, std::move(rows),
-                         rs.runtime.get(), &stats));
-  }
+Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
+                                   const SelectPlan& plan) {
+  ResultSet rs;
+  rs.runtime = std::make_shared<QueryRuntime>();
+  Selection sel;
+  XQDB_RETURN_IF_ERROR(
+      Select(stmt, plan, rs.runtime.get(), &rs.stats, &sel));
 
-  // SELECT list.
+  // Stage 3 for a SELECT: project the survivors, read in place.
   for (const SelectItem& item : stmt.items) {
     if (item.star) {
-      for (const ColumnSlot& slot : schema) rs.columns.push_back(slot.name);
+      for (const ColumnSlot& slot : sel.schema) {
+        rs.columns.push_back(slot.name);
+      }
     } else if (!item.alias.empty()) {
       rs.columns.push_back(item.alias);
     } else if (item.expr->kind == SqlExprKind::kColumnRef) {
@@ -785,19 +779,39 @@ Result<ResultSet> SqlExecutor::Run(const SelectStmt& stmt,
       rs.columns.push_back(std::to_string(rs.columns.size() + 1));
     }
   }
-  for (auto& row : rows) {
-    std::vector<SqlValue> out_row;
+  rs.rows.reserve(sel.rows.size());
+  for (const Row* survivor : sel.rows) {
+    const Row& row = *survivor;
+    Row out_row;
     for (const SelectItem& item : stmt.items) {
       if (item.star) {
         out_row.insert(out_row.end(), row.begin(), row.end());
       } else {
         XQDB_ASSIGN_OR_RETURN(
             SqlValue v,
-            EvalScalar(*item.expr, schema, row, rs.runtime.get(), &stats));
+            EvalScalar(*item.expr, sel.schema, row, rs.runtime.get(),
+                       &rs.stats));
         out_row.push_back(std::move(v));
       }
     }
     rs.rows.push_back(std::move(out_row));
+  }
+  return rs;
+}
+
+Result<ResultSet> SqlExecutor::RunDelete(const SelectStmt& victims,
+                                         const SelectPlan& plan,
+                                         uint64_t write_epoch) {
+  ResultSet rs;
+  QueryRuntime runtime;
+  Selection sel;
+  XQDB_RETURN_IF_ERROR(Select(victims, plan, &runtime, &rs.stats, &sel));
+  // Stage 3 for a DELETE: tombstone the survivors. Mutation stays on the
+  // calling thread because index maintenance writes shared B-trees.
+  XQDB_ASSIGN_OR_RETURN(Table * table,
+                        catalog_->GetTable(victims.from[0].table_name));
+  for (uint32_t r : sel.row_ids) {
+    XQDB_RETURN_IF_ERROR(table->DeleteRow(r, write_epoch));
   }
   return rs;
 }

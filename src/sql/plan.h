@@ -96,8 +96,8 @@ struct StaticFold {
 struct SelectPlan {
   std::vector<AccessPath> access;
 
-  /// Conjuncts with statically proven truth values (XQDB_STATIC knob;
-  /// empty when static folding is disabled).
+  /// Conjuncts with statically proven truth values (empty when static
+  /// folding is disabled).
   std::vector<StaticFold> folds;
   /// The whole statement provably returns zero rows: the first top-level
   /// conjunct folded to false and every FROM item is a base table (a scan

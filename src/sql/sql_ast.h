@@ -146,11 +146,6 @@ struct InsertStmt {
   std::vector<std::vector<SqlValue>> rows;
 };
 
-struct DeleteStmt {
-  std::string table_name;
-  std::unique_ptr<SqlExpr> where;  // nullptr = delete every row
-};
-
 struct SqlStatement {
   enum class Kind {
     kSelect,
@@ -159,11 +154,12 @@ struct SqlStatement {
     kInsert,
     kDelete,
   } kind = Kind::kSelect;
+  /// kSelect: the query. kDelete: `SELECT * FROM t [WHERE c]`, the query
+  /// whose rows the DELETE tombstones (nullptr for DDL and INSERT).
   std::unique_ptr<SelectStmt> select;
   std::unique_ptr<CreateTableStmt> create_table;
   std::unique_ptr<CreateIndexStmt> create_index;
   std::unique_ptr<InsertStmt> insert;
-  std::unique_ptr<DeleteStmt> del;
 };
 
 /// Short description of an SQL scalar expression for EXPLAIN output.

@@ -33,14 +33,7 @@ class SqlParser {
       XQDB_ASSIGN_OR_RETURN(stmt.insert, ParseInsert());
       stmt.kind = SqlStatement::Kind::kInsert;
     } else if (ConsumeKw("DELETE")) {
-      if (!ConsumeKw("FROM")) {
-        return Status::ParseError("expected FROM after DELETE");
-      }
-      stmt.del = std::make_unique<DeleteStmt>();
-      XQDB_ASSIGN_OR_RETURN(stmt.del->table_name, ParseIdentifier());
-      if (ConsumeKw("WHERE")) {
-        XQDB_ASSIGN_OR_RETURN(stmt.del->where, ParseOr());
-      }
+      XQDB_ASSIGN_OR_RETURN(stmt.select, ParseDeleteAsSelect());
       stmt.kind = SqlStatement::Kind::kDelete;
     } else if (PeekKw("SELECT")) {
       XQDB_ASSIGN_OR_RETURN(stmt.select, ParseSelect());
@@ -363,6 +356,26 @@ class SqlParser {
     } while (cur_.ConsumeToken(","));
     if (!cur_.ConsumeToken(")")) {
       return Status::ParseError("expected ')' in VALUES");
+    }
+    return stmt;
+  }
+
+  /// DELETE FROM t [WHERE c] parses as SELECT * FROM t [WHERE c]: the
+  /// DELETE tombstones exactly the rows that query returns.
+  Result<std::unique_ptr<SelectStmt>> ParseDeleteAsSelect() {
+    if (!ConsumeKw("FROM")) {
+      return Status::ParseError("expected FROM after DELETE");
+    }
+    auto stmt = std::make_unique<SelectStmt>();
+    SelectItem star;
+    star.star = true;
+    stmt->items.push_back(std::move(star));
+    TableRef ref;
+    XQDB_ASSIGN_OR_RETURN(ref.table_name, ParseIdentifier());
+    ref.alias = ref.table_name;
+    stmt->from.push_back(std::move(ref));
+    if (ConsumeKw("WHERE")) {
+      XQDB_ASSIGN_OR_RETURN(stmt->where, ParseOr());
     }
     return stmt;
   }

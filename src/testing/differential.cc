@@ -128,70 +128,70 @@ bool SetupScenario(const DiffScenario& s, Database* db,
   return true;
 }
 
+constexpr char kCachedVsCold[] = "cached-vs-cold";
+constexpr char kParallelVsSerial[] = "parallel-vs-serial";
+constexpr char kDeleteProbeVsScan[] = "delete-probe-vs-scan";
+
+/// The reference runs: each switches one execution strategy off (or forces
+/// the scan plan) and must reproduce the cold run of the planner's plan.
+struct ReferenceRun {
+  const char* oracle;
+  bool ExecOptions::* option;
+  const char* label;      // this run, in divergence reports
+  const char* ref_label;  // the cold run it is compared with
+};
+
+constexpr ReferenceRun kReferenceRuns[] = {
+    // Every access path downgraded to a collection scan; the residual
+    // WHERE makes it the ground truth any index plan must match.
+    {"index-vs-scan", &ExecOptions::force_scan, "forced scan", "index plan"},
+    // Same plan; axes by recursive tree walk instead of interval-based
+    // structural joins.
+    {"structural-vs-recursive", &ExecOptions::disable_structural,
+     "recursive walk", "structural join"},
+    // Same plan; row-at-a-time EvalPredicate instead of the vectorized
+    // batch kernels, and covering aggregates demote to the evaluator.
+    {"batch-vs-row", &ExecOptions::disable_batch, "row-at-a-time",
+     "batch kernels"},
+    // Same plan minus the static type/cardinality folds: every conjunct is
+    // evaluated and no plan is marked STATIC EMPTY, so a wrong emptiness
+    // proof (or a missed staleness demotion after phase DML) shows up here.
+    {"static-vs-unoptimized", &ExecOptions::disable_static, "unoptimized",
+     "static folding"},
+};
+
 void RunPhase(Database* db, const DiffScenario& s, const DiffOptions& opt,
               const char* phase, std::vector<Divergence>* divs) {
+  ExecOptions cold_opts;
+  cold_opts.disable_cache = true;
+  ExecOptions scan_opts;
+  scan_opts.force_scan = true;
   for (const GenQuery& q : s.queries) {
     ThreadPool::SetGlobalThreads(0);
-    ExecOptions scan_opts;
-    scan_opts.force_scan = true;
-    ExecOptions cold_opts;
-    cold_opts.disable_cache = true;
-    ExecOptions recursive_opts;
-    recursive_opts.disable_cache = true;
-    recursive_opts.disable_structural = true;
-    ExecOptions row_opts;
-    row_opts.disable_cache = true;
-    row_opts.disable_batch = true;
-    ExecOptions unopt_opts;
-    unopt_opts.disable_cache = true;
-    unopt_opts.disable_static = true;
-
-    const Outcome scan_ref = RunOne(db, q, scan_opts);
     const Outcome idx_cold = RunOne(db, q, cold_opts);
-    // Same plan as idx_cold; only the axis evaluation strategy differs
-    // (recursive tree walk instead of interval-based structural joins).
-    const Outcome recursive = RunOne(db, q, recursive_opts);
-    // Same plan again; only the filter execution strategy differs
-    // (row-at-a-time EvalPredicate instead of the vectorized batch
-    // kernels, and covering aggregates demote to the evaluator).
-    const Outcome row_mode = RunOne(db, q, row_opts);
-    // Same plan minus the static type/cardinality folds: every conjunct
-    // is evaluated and no plan is marked STATIC EMPTY, so a wrong
-    // emptiness proof (or a missed staleness demotion after phase DML)
-    // shows up as a result divergence here.
-    const Outcome unopt = RunOne(db, q, unopt_opts);
+    Outcome scan_ref;
+    for (const ReferenceRun& ref : kReferenceRuns) {
+      ExecOptions opts = cold_opts;
+      opts.*ref.option = true;
+      const Outcome run = RunOne(db, q, opts);
+      if (!SameOutcome(run, idx_cold, false)) {
+        divs->push_back({ref.oracle, phase, q,
+                         DiffDetail(ref.label, run, ref.ref_label, idx_cold)});
+      }
+      if (ref.option == &ExecOptions::force_scan) scan_ref = run;
+    }
     // First default-options run compiles into (or, post-DML, replays the
     // now-stale phase-A entry from) the cache; the second is a sure hit.
     const Outcome warm = RunOne(db, q, ExecOptions{});
     const Outcome hit = RunOne(db, q, ExecOptions{});
 
-    if (!SameOutcome(idx_cold, scan_ref, false)) {
-      divs->push_back({"index-vs-scan", phase, q,
-                       DiffDetail("index plan", idx_cold, "forced scan",
-                                  scan_ref)});
-    }
-    if (!SameOutcome(recursive, idx_cold, false)) {
-      divs->push_back({"structural-vs-recursive", phase, q,
-                       DiffDetail("recursive walk", recursive,
-                                  "structural join", idx_cold)});
-    }
-    if (!SameOutcome(row_mode, idx_cold, false)) {
-      divs->push_back({"batch-vs-row", phase, q,
-                       DiffDetail("row-at-a-time", row_mode, "batch kernels",
-                                  idx_cold)});
-    }
-    if (!SameOutcome(unopt, idx_cold, false)) {
-      divs->push_back({"static-vs-unoptimized", phase, q,
-                       DiffDetail("unoptimized", unopt, "static folding",
-                                  idx_cold)});
-    }
     if (!SameOutcome(warm, idx_cold, false)) {
-      divs->push_back({"cached-vs-cold", phase, q,
+      divs->push_back({kCachedVsCold, phase, q,
                        DiffDetail("cache replay", warm, "cold compile",
                                   idx_cold)});
     }
     if (!SameOutcome(hit, idx_cold, false)) {
-      divs->push_back({"cached-vs-cold", phase, q,
+      divs->push_back({kCachedVsCold, phase, q,
                        DiffDetail("cache hit", hit, "cold compile",
                                   idx_cold)});
     }
@@ -211,17 +211,17 @@ void RunPhase(Database* db, const DiffScenario& s, const DiffOptions& opt,
       const Outcome scan_par = RunOne(db, q, scan_opts);
       const Outcome hit_par = RunOne(db, q, ExecOptions{});
       if (!SameOutcome(idx_par, idx_cold, true)) {
-        divs->push_back({"parallel-vs-serial", phase, q,
+        divs->push_back({kParallelVsSerial, phase, q,
                          DiffDetail("parallel index", idx_par, "serial index",
                                     idx_cold)});
       }
       if (!SameOutcome(scan_par, scan_ref, true)) {
-        divs->push_back({"parallel-vs-serial", phase, q,
+        divs->push_back({kParallelVsSerial, phase, q,
                          DiffDetail("parallel scan", scan_par, "serial scan",
                                     scan_ref)});
       }
       if (!SameOutcome(hit_par, hit, true)) {
-        divs->push_back({"parallel-vs-serial", phase, q,
+        divs->push_back({kParallelVsSerial, phase, q,
                          DiffDetail("parallel cache hit", hit_par,
                                     "serial cache hit", hit)});
       }
@@ -314,7 +314,48 @@ std::string SplitConjunction(const std::string& text, bool keep_left) {
   return std::string();
 }
 
+/// The DML oracle: `db` and `twin` were set up alike; `db` runs each
+/// statement on its planned access path (a DELETE selects its victims
+/// through the index and summary probes of its WHERE) and `twin` with
+/// every access path forced to a scan. Each statement must end alike —
+/// the same error, if any — and so must every table's surviving rows.
+void RunDml(Database* db, Database* twin, const DiffScenario& s,
+            std::vector<Divergence>* divs) {
+  ExecOptions scan_opts;
+  scan_opts.force_scan = true;
+  for (const std::string& stmt : s.dml) {
+    const GenQuery q{true, stmt, ""};
+    const Outcome planned = RunOne(db, q, ExecOptions{});
+    const Outcome scanned = RunOne(twin, q, scan_opts);
+    if (!SameOutcome(planned, scanned, false)) {
+      divs->push_back({kDeleteProbeVsScan, "dml", q,
+                       DiffDetail("planned DML", planned, "scan DML",
+                                  scanned)});
+    }
+  }
+  for (const Table* table : db->catalog().AllTables()) {
+    const GenQuery q{true, "SELECT * FROM " + table->name(), ""};
+    const Outcome planned = RunOne(db, q, scan_opts);
+    const Outcome scanned = RunOne(twin, q, scan_opts);
+    if (!SameOutcome(planned, scanned, false)) {
+      divs->push_back({kDeleteProbeVsScan, "dml", q,
+                       DiffDetail("rows left by planned DML", planned,
+                                  "rows left by scan DML", scanned)});
+    }
+  }
+}
+
 }  // namespace
+
+std::vector<std::string> OracleNames() {
+  std::vector<std::string> names;
+  for (const ReferenceRun& ref : kReferenceRuns) names.push_back(ref.oracle);
+  for (const char* name : {kCachedVsCold, kParallelVsSerial,
+                           kDeleteProbeVsScan}) {
+    names.push_back(name);
+  }
+  return names;
+}
 
 std::vector<Divergence> RunScenario(const DiffScenario& scenario,
                                     const DiffOptions& options) {
@@ -325,13 +366,9 @@ std::vector<Divergence> RunScenario(const DiffScenario& scenario,
       RunPhase(&db, scenario, options, "initial", &divs);
       if (!scenario.dml.empty()) {
         ThreadPool::SetGlobalThreads(0);
-        for (const std::string& stmt : scenario.dml) {
-          auto r = db.ExecuteSql(stmt);
-          if (!r.ok()) {
-            divs.push_back({"setup", "post-dml", GenQuery{true, stmt, ""},
-                            "DML failed: " + r.status().ToString()});
-            break;
-          }
+        Database twin;
+        if (SetupScenario(scenario, &twin, &divs)) {
+          RunDml(&db, &twin, scenario, &divs);
         }
         RunPhase(&db, scenario, options, "post-dml", &divs);
       }

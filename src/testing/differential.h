@@ -24,20 +24,27 @@ struct DiffOptions {
 ///                             every conjunct (disable_static)
 ///   "parallel-vs-serial"      XQDB_THREADS=N vs the inline pool
 ///   "cached-vs-cold"          compiled-query-cache replay vs cold compile
+///   "delete-probe-vs-scan"    the scenario's DML on planned access paths
+///                             vs forced scans: each statement's outcome
+///                             and every table's surviving rows
 ///   "expectation"             corpus-pinned outcome vs the serial cold run
 ///   "baddoc-accepted"         the XML parser accepted a corpus `baddoc:`
 struct Divergence {
   std::string oracle;
-  std::string phase;  // "initial" or "post-dml"
+  std::string phase;  // "initial", "dml" or "post-dml"
   GenQuery query;     // empty text for baddoc divergences
   std::string detail;
 };
 
+/// Every oracle RunScenario checks, by Divergence::oracle name.
+std::vector<std::string> OracleNames();
+
 /// Loads the scenario into a fresh Database and checks every query under
-/// all six oracles, twice: once cold and once after the scenario's DML
-/// epoch (so phase-A cache entries are replayed stale — DML deliberately
-/// does not bump the catalog version). Restores the global thread pool
-/// before returning.
+/// every oracle, twice: once cold and once after the scenario's DML epoch
+/// (so phase-A cache entries are replayed stale — DML deliberately does
+/// not bump the catalog version). The DML itself runs against a twin
+/// database as well, with forced scans (the delete-probe-vs-scan oracle).
+/// Restores the global thread pool before returning.
 std::vector<Divergence> RunScenario(const DiffScenario& scenario,
                                     const DiffOptions& options);
 

@@ -86,9 +86,8 @@ class Evaluator {
   /// intervals_compared). Optional; the evaluator works without one.
   void set_stats(ExecStats* stats) { stats_ = stats; }
 
-  /// Per-evaluator override of the structural-join default
-  /// (ExecOptions::disable_structural / the XQDB_STRUCTURAL escape hatch).
-  /// Off = the original recursive tree walk, the differential baseline.
+  /// Off = the original recursive tree walk instead of interval structural
+  /// joins (ExecOptions::disable_structural), the differential baseline.
   void set_structural_enabled(bool enabled) { structural_enabled_ = enabled; }
 
  private:
@@ -120,7 +119,7 @@ class Evaluator {
   std::map<std::string, Sequence> vars_;
   long long docs_navigated_ = 0;
   ExecStats* stats_ = nullptr;
-  bool structural_enabled_ = StructuralJoinDefault();
+  bool structural_enabled_ = true;
 };
 
 /// True if the node satisfies the test (axis-independent part: kind + name).

@@ -1,61 +1,11 @@
 #include "xquery/structural_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/str_util.h"
 #include "xquery/evaluator.h"
 
 namespace xqdb {
-
-namespace {
-
-/// -1 = not yet resolved from the environment; 0/1 = resolved/overridden.
-std::atomic<int> g_structural_default{-1};
-
-bool ReadEnvDefault() {
-  const char* v = GetEnvRaw("XQDB_STRUCTURAL");
-  if (v == nullptr) return true;
-  if (auto parsed = ParseStructuralKnob(v)) return *parsed;
-  // Unrecognized text used to silently enable structural joins ("offf"
-  // behaved like "on"); now it warns once and keeps the default.
-  static const bool warned = [v] {
-    std::fprintf(stderr,
-                 "xqdb: XQDB_STRUCTURAL: ignoring unrecognized value \"%s\" "
-                 "(accepted: 0, 1, on, off); structural joins stay on\n",
-                 v);
-    return true;
-  }();
-  (void)warned;
-  return true;
-}
-
-}  // namespace
-
-std::optional<bool> ParseStructuralKnob(std::string_view text) {
-  std::string_view t = TrimWhitespace(text);
-  if (t == "1" || EqualsIgnoreCase(t, "on")) return true;
-  if (t == "0" || EqualsIgnoreCase(t, "off")) return false;
-  return std::nullopt;
-}
-
-bool StructuralJoinDefault() {
-  int s = g_structural_default.load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = ReadEnvDefault() ? 1 : 0;
-    // Racing first calls resolve the same environment value; any later
-    // SetStructuralJoinDefault wins via plain store.
-    g_structural_default.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void SetStructuralJoinDefault(bool enabled) {
-  g_structural_default.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 Sequence StructuralDescendantJoin(std::vector<NodeHandle> contexts,
                                   bool or_self, const NodeTestSpec& test,

@@ -1,8 +1,6 @@
 #ifndef XQDB_XQUERY_STRUCTURAL_JOIN_H_
 #define XQDB_XQUERY_STRUCTURAL_JOIN_H_
 
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "xdm/item.h"
@@ -10,21 +8,6 @@
 #include "xquery/ast.h"
 
 namespace xqdb {
-
-/// Process-wide default for structural-join (pre/post interval) axis
-/// evaluation. Reads XQDB_STRUCTURAL once on first use via
-/// ParseStructuralKnob; unset or unrecognized text enables it (the latter
-/// with a one-time warning). The setter overrides the environment —
-/// benches and the differential oracle flip it to time/compare the
-/// recursive walk.
-bool StructuralJoinDefault();
-void SetStructuralJoinDefault(bool enabled);
-
-/// Strict knob grammar: exactly "0"/"off" (disable) or "1"/"on" (enable),
-/// ASCII case-insensitive for the words, surrounding whitespace ignored.
-/// Anything else — including the formerly-accepted "false" — is
-/// nullopt, so callers warn instead of silently picking a side.
-std::optional<bool> ParseStructuralKnob(std::string_view text);
 
 /// Work counters for one structural-join evaluation, merged into the
 /// execution's ExecStats by the caller.

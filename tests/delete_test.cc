@@ -93,6 +93,28 @@ TEST_F(DeleteFixture, RelationalIndexMaintained) {
   EXPECT_EQ(Count("SELECT ordid FROM orders WHERE ordid = 4"), 1u);
 }
 
+TEST_F(DeleteFixture, DeleteThatRaisesOnAProbedRowDeletesNothing) {
+  // The li_price probe admits prices 600..900; re-applying the WHERE to
+  // them raises (a 3-digit price does not fit VARCHAR(2)). The DELETE
+  // fails with the error a scan reports and stamps no tombstone.
+  const std::string del =
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 500]' passing orddoc as \"o\") AND "
+      "XMLCAST(XMLQUERY('$o//lineitem/@price' passing orddoc as \"o\") "
+      "AS VARCHAR(2)) = 'x'";
+  auto probed = db_.ExecuteSql(del);
+  ASSERT_FALSE(probed.ok());
+  EXPECT_NE(probed.status().message().find("exceeds VARCHAR(2)"),
+            std::string::npos)
+      << probed.status().ToString();
+  ExecOptions scan;
+  scan.force_scan = true;
+  auto scanned = db_.ExecuteSql(del, scan);
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(probed.status().ToString(), scanned.status().ToString());
+  EXPECT_EQ(Count("SELECT ordid FROM orders"), 10u);
+}
+
 TEST_F(DeleteFixture, DeleteFromMissingTableFails) {
   auto rs = db_.ExecuteSql("DELETE FROM nope");
   EXPECT_EQ(rs.status().code(), StatusCode::kNotFound);

@@ -1,10 +1,9 @@
 // Replays the checked-in regression corpus (tests/corpus/*.xqd) through
 // the differential runner and smoke-tests the generator + minimizer. Each
 // corpus file is a bug that was found and fixed: its scenario must run
-// divergence-free on all four oracles (index-vs-scan,
-// structural-vs-recursive, parallel-vs-serial, cached-vs-cold) and match
-// any pinned expectations. Reverting one of the fixes makes the
-// corresponding file fail here.
+// divergence-free on every oracle (testing::OracleNames()) and match any
+// pinned expectations. Reverting one of the fixes makes the corresponding
+// file fail here.
 
 #include <gtest/gtest.h>
 

@@ -303,18 +303,24 @@ TEST_F(StatsMergeTest, ExactGrainMultipleTotalsAcrossChunks) {
 }
 
 TEST_F(StatsMergeTest, DeleteSurfacesMergedPredicateCounters) {
-  // DELETE merges per-chunk predicate stats the same way; they used to be
-  // computed and then dropped on the floor. 256 rows, 4 threads, exact
-  // grain multiple; the WHERE evaluates one embedded XQuery per visible
-  // row (DELETE keeps the row-at-a-time path).
+  // A DELETE selects its victims exactly as the SELECT of the same WHERE
+  // does — path-summary pre-filter, batch kernels, per-chunk stats merged
+  // — and reports the same counters: rows visited in rows_scanned, the
+  // deleted count as rows_scanned - rows_filtered. 256 rows, 4 threads,
+  // exact grain multiple.
   MakeTable(256);
   ThreadPool::SetGlobalThreads(4);
   auto rs = db_.ExecuteSql(
       "DELETE FROM t WHERE XMLEXISTS("
       "'$d//l[@price > 128]' passing doc as \"d\")");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(rs->stats.rows_scanned, 128);  // deleted-row count
-  EXPECT_EQ(rs->stats.xquery_evals, 256);  // one per visible candidate row
+  EXPECT_EQ(rs->stats.rows_scanned, 256);
+  EXPECT_EQ(rs->stats.index_docs_returned, 256);
+  EXPECT_EQ(rs->stats.docs_scanned, 0);
+  EXPECT_EQ(rs->stats.rows_filtered, 128);  // 256 - 128 = 128 deleted
+  EXPECT_EQ(rs->stats.batches_executed, 16);
+  EXPECT_EQ(rs->stats.batch_rows, 256);
+  EXPECT_EQ(rs->stats.xquery_evals, 0);
   ExecStats after = Select(kFilter);
   EXPECT_EQ(after.rows_filtered, 128);  // survivors all fail the predicate
   EXPECT_EQ(after.index_docs_returned, 128);

@@ -136,10 +136,16 @@ TEST(SqlParserTest, DeleteShapes) {
   auto all = Parse("DELETE FROM orders");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->kind, SqlStatement::Kind::kDelete);
-  EXPECT_EQ(all->del->where, nullptr);
+  // A DELETE is the SELECT of its victims: SELECT * FROM t [WHERE c].
+  ASSERT_NE(all->select, nullptr);
+  ASSERT_EQ(all->select->items.size(), 1u);
+  EXPECT_TRUE(all->select->items[0].star);
+  ASSERT_EQ(all->select->from.size(), 1u);
+  EXPECT_EQ(all->select->from[0].table_name, "ORDERS");
+  EXPECT_EQ(all->select->where, nullptr);
   auto cond = Parse("DELETE FROM orders WHERE ordid = 1");
   ASSERT_TRUE(cond.ok());
-  EXPECT_NE(cond->del->where, nullptr);
+  EXPECT_NE(cond->select->where, nullptr);
   EXPECT_FALSE(Parse("DELETE orders").ok());
 }
 

@@ -39,19 +39,6 @@ const StaticFact* FindFact(const StaticQueryFacts& f, StaticFact::Kind kind) {
   return nullptr;
 }
 
-// ----- Knob grammar ---------------------------------------------------------
-
-TEST(StaticKnobTest, StrictGrammar) {
-  EXPECT_EQ(ParseStaticKnob("1"), std::optional<bool>(true));
-  EXPECT_EQ(ParseStaticKnob("on"), std::optional<bool>(true));
-  EXPECT_EQ(ParseStaticKnob(" ON "), std::optional<bool>(true));
-  EXPECT_EQ(ParseStaticKnob("0"), std::optional<bool>(false));
-  EXPECT_EQ(ParseStaticKnob("off"), std::optional<bool>(false));
-  EXPECT_EQ(ParseStaticKnob("yes"), std::nullopt);
-  EXPECT_EQ(ParseStaticKnob(""), std::nullopt);
-  EXPECT_EQ(ParseStaticKnob("2"), std::nullopt);
-}
-
 // ----- Cardinality lattice --------------------------------------------------
 
 TEST(StaticTypeTest, CardinalityNames) {

@@ -239,6 +239,132 @@ TEST_F(TraceFixture, ExplainAnalyzeSqlOnDdlReportsNoPlan) {
   EXPECT_NE(r->find("runtime:"), std::string::npos) << *r;
 }
 
+// ----- A DELETE selects its victims like a SELECT ---------------------------
+
+TEST_F(TraceFixture, ExplainSqlShowsTheDeleteVictimsAccessPath) {
+  auto r = db_.ExplainSql(
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 750]' passing orddoc as \"o\")");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r->find("XML INDEX RANGE SCAN LI_PRICE"), std::string::npos)
+      << *r;
+  EXPECT_EQ(r->find("no access plan"), std::string::npos) << *r;
+  // EXPLAIN does not execute: nothing was deleted.
+  auto rs = db_.ExecuteSql("SELECT ordid FROM orders");
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->rows.size(), static_cast<size_t>(kCollectionSize));
+}
+
+TEST_F(TraceFixture, SearchedDeleteProbesTheIndexAndCountsLikeASelect) {
+  std::vector<std::string> records;
+  SetTraceSinkForTesting(
+      [&records](const std::string& line) { records.push_back(line); });
+  ExecOptions traced;
+  traced.trace = true;
+  auto rs = db_.ExecuteSql(
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 750]' passing orddoc as \"o\")",
+      traced);
+  SetTraceSinkForTesting(nullptr);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // Prices 800, 900, 1000: three candidates from the probe, no document
+  // visited blind, all three kept by the WHERE and deleted.
+  EXPECT_EQ(rs->stats.index_docs_returned, 3);
+  EXPECT_EQ(rs->stats.docs_scanned, 0);
+  EXPECT_EQ(rs->stats.rows_scanned, 3);
+  EXPECT_EQ(rs->stats.rows_filtered, 0);
+  EXPECT_GT(rs->stats.plan_ns, 0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NE(records[0].find("XML INDEX RANGE SCAN LI_PRICE"),
+            std::string::npos)
+      << records[0];
+  auto left = db_.ExecuteSql("SELECT ordid FROM orders");
+  ASSERT_TRUE(left.ok());
+  EXPECT_EQ(left->rows.size(), static_cast<size_t>(kCollectionSize - 3));
+}
+
+TEST_F(TraceFixture, ExplainAnalyzeDeleteReportsTheVictimsPlanAndCounters) {
+  auto r = db_.ExplainAnalyzeSql(
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 750]' passing orddoc as \"o\")");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r->find("XML INDEX RANGE SCAN LI_PRICE"), std::string::npos)
+      << *r;
+  EXPECT_NE(r->find("index_docs_returned = 3"), std::string::npos) << *r;
+  EXPECT_EQ(r->find("docs_scanned"), std::string::npos) << *r;
+}
+
+TEST_F(TraceFixture, ForcedScanDeleteVisitsEveryRow) {
+  ExecOptions scan;
+  scan.force_scan = true;
+  auto rs = db_.ExecuteSql(
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o//lineitem[@price > 750]' passing orddoc as \"o\")",
+      scan);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->stats.docs_scanned, kCollectionSize);
+  EXPECT_EQ(rs->stats.index_docs_returned, 0);
+  EXPECT_EQ(rs->stats.rows_scanned, kCollectionSize);
+  EXPECT_EQ(rs->stats.rows_filtered, kCollectionSize - 3);
+}
+
+TEST_F(TraceFixture, StaticallyEmptyDeleteScansNothingUnlessDisabled) {
+  const std::string del =
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o/order/giftwrap' passing orddoc as \"o\")";
+  auto r = db_.ExplainAnalyzeSql(del);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r->find("STATIC EMPTY"), std::string::npos) << *r;
+  auto rs = db_.ExecuteSql(del);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->stats.static_pruned_exprs, 1);
+  EXPECT_EQ(rs->stats.rows_scanned, 0);
+  EXPECT_EQ(rs->stats.docs_scanned, 0);
+
+  // disable_static reaches a DELETE as it reaches a SELECT: no fold, and
+  // the victims come from the path-summary probe of the unfolded plan.
+  ExecOptions unopt;
+  unopt.disable_static = true;
+  auto unfolded = db_.ExplainAnalyzeSql(del, unopt);
+  ASSERT_TRUE(unfolded.ok()) << unfolded.status().ToString();
+  EXPECT_EQ(unfolded->find("STATIC EMPTY"), std::string::npos) << *unfolded;
+  EXPECT_EQ(unfolded->find("static_pruned_exprs"), std::string::npos)
+      << *unfolded;
+  EXPECT_NE(unfolded->find("PATH SUMMARY EXISTENCE PROBE"), std::string::npos)
+      << *unfolded;
+}
+
+TEST(TraceDeleteTest, CustomerDeleteMakesNoEvaluationPastItsVictims) {
+  // 40 orders over 5 customers, with an index on /order/custid: deleting
+  // one customer's orders probes the index for its 8 rows, opens no other
+  // document, and evaluates the WHERE at most once per victim.
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteSql("CREATE TABLE orders (ordid INTEGER, orddoc XML)").ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO orders VALUES (" +
+                              std::to_string(i) + ", '<order><custid>" +
+                              std::to_string(i % 5) +
+                              "</custid><lineitem price=\"10\"/></order>')")
+                    .ok());
+  }
+  ASSERT_TRUE(db.ExecuteSql("CREATE INDEX o_cust ON orders(orddoc) "
+                            "USING XMLPATTERN '/order/custid' AS SQL DOUBLE")
+                  .ok());
+  auto rs = db.ExecuteSql(
+      "DELETE FROM orders WHERE XMLEXISTS("
+      "'$o/order[custid = 3]' passing orddoc as \"o\")");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->stats.docs_scanned, 0);
+  EXPECT_EQ(rs->stats.index_docs_returned, 8);
+  EXPECT_EQ(rs->stats.rows_scanned, 8);
+  EXPECT_EQ(rs->stats.rows_filtered, 0);
+  EXPECT_LE(rs->stats.xquery_evals, 8);
+  auto left = db.ExecuteSql("SELECT ordid FROM orders");
+  ASSERT_TRUE(left.ok());
+  EXPECT_EQ(left->rows.size(), 32u);
+}
+
 // ----- Phase timings and the plan cache -------------------------------------
 
 TEST_F(TraceFixture, ColdExecutionTimesEveryPhase) {

@@ -4,12 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "sql/batch_filter.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/evaluator.h"
 #include "xquery/parser.h"
-#include "xquery/structural_join.h"
 
 namespace xqdb {
 namespace {
@@ -439,45 +437,6 @@ TEST_F(XQueryFixture, CastableAs) {
       EvalOne("if ($d/addr/postalcode castable as xs:double) "
               "then \"numeric\" else \"string\""),
       "string");
-}
-
-// --- XQDB_STRUCTURAL knob: the accepted-value set is pinned. Anything
-// outside it must be rejected (the caller then warns and keeps the
-// default) — "offf" silently meaning "on" was a real bug. ------------------
-
-TEST(StructuralKnobTest, AcceptedValues) {
-  EXPECT_EQ(ParseStructuralKnob("1"), true);
-  EXPECT_EQ(ParseStructuralKnob("on"), true);
-  EXPECT_EQ(ParseStructuralKnob("On"), true);
-  EXPECT_EQ(ParseStructuralKnob("0"), false);
-  EXPECT_EQ(ParseStructuralKnob("off"), false);
-  EXPECT_EQ(ParseStructuralKnob("OFF"), false);
-  EXPECT_EQ(ParseStructuralKnob(" on "), true);  // whitespace-tolerant
-}
-
-TEST(StructuralKnobTest, EverythingElseIsRejected) {
-  for (const char* bad :
-       {"", " ", "offf", "true", "false", "yes", "no", "2", "-1", "0 1"}) {
-    EXPECT_EQ(ParseStructuralKnob(bad), std::nullopt)
-        << "'" << bad << "' must not be a recognized knob value";
-  }
-}
-
-// --- XQDB_BATCH knob: same pinned grammar as XQDB_STRUCTURAL (it delegates
-// to the same parser) — pinned separately so the delegation cannot silently
-// diverge. -----------------------------------------------------------------
-
-TEST(BatchKnobTest, SameGrammarAsStructuralKnob) {
-  EXPECT_EQ(ParseBatchKnob("1"), true);
-  EXPECT_EQ(ParseBatchKnob("on"), true);
-  EXPECT_EQ(ParseBatchKnob("ON"), true);
-  EXPECT_EQ(ParseBatchKnob("0"), false);
-  EXPECT_EQ(ParseBatchKnob("off"), false);
-  EXPECT_EQ(ParseBatchKnob(" off "), false);  // whitespace-tolerant
-  for (const char* bad : {"", "offf", "true", "yes", "2", "batch"}) {
-    EXPECT_EQ(ParseBatchKnob(bad), std::nullopt)
-        << "'" << bad << "' must not be a recognized knob value";
-  }
 }
 
 }  // namespace

@@ -6,14 +6,15 @@
 #              (-DXQDB_ANALYZE=ON; skipped when clang is not installed),
 #              then the semantic-analysis gate: ctest -L analysis (static
 #              type/cardinality inference + the lint corpus sweep) and a
-#              200-seed xqdiff smoke whose sixth oracle compares static
-#              folding against unoptimized execution
+#              200-seed xqdiff smoke whose static-vs-unoptimized oracle
+#              compares static folding against unoptimized execution
 #   tidy       the clang-tidy sweep over src/ and tools/ (skipped when
 #              clang-tidy is not installed)
 #   undefined  UBSan build (-fno-sanitize-recover) + the FULL ctest suite
-#   thread     TSan build + the `concurrency` ctest label (thread pool,
-#              parallel exec, cache/metrics contention, serving layer),
-#              then a bench_serve pass (4 clients + DML) under TSan
+#   thread     TSan build + the `concurrency` and `deadlock` ctest labels
+#              (thread pool, parallel exec, cache/metrics contention,
+#              serving layer with live-socket DML), then a bench_parallel
+#              pass under TSan
 #   address    ASan build + the 30s `fuzz-smoke` ctest label
 #   deadlock   -DXQDB_DEADLOCK=ON build + the `deadlock` ctest label
 #              (rank-table pins, detector death tests, the server-session
@@ -138,15 +139,12 @@ for mode in $(echo "$MODES" | tr ',' ' '); do
       ;;
     thread)
       # The concurrency label (which includes the batch-execution stats
-      # merge pins in parallel_exec_test), then the serving bench: N real
-      # client connections + a DML thread is the cross-thread traffic TSan
-      # is best at — zero error frames AND zero reports is the pass bar.
+      # merge pins in parallel_exec_test, and server_test's live-socket
+      # readers racing DML — the cross-thread traffic TSan is best at).
       # The bench_parallel pass drives the vectorized batch kernels and the
       # index-only aggregate across the 4-thread chunk fan-out under TSan.
       run_mode thread -DXQDB_SANITIZE=thread -DXQDB_TIDY=OFF -- \
         bash -c "ctest --output-on-failure -L 'concurrency|deadlock' -j $JOBS && \
-          XQDB_BENCH_ORDERS=200 ./bench/bench_serve --clients 4 --iters 1 \
-            --dml --out bench_serve_tsan.json && \
           XQDB_BENCH_ORDERS=200 ./bench/bench_parallel \
             --out bench_parallel_tsan.json"
       ;;

@@ -1,15 +1,16 @@
 // xqdiff — differential correctness fuzzer for xqdb.
 //
 // For each seed it generates a workload + index set + query batch + DML
-// epoch (src/testing/query_gen.*) and checks six equivalences
-// (src/testing/differential.*):
+// epoch (src/testing/query_gen.*) and checks these equivalences, its
+// oracles (src/testing/differential.*, OracleNames):
 //
-//   1. planner-chosen index plan  vs  forced collection scan
-//   2. interval structural joins  vs  recursive tree walk
-//   3. vectorized batch kernels  vs  row-at-a-time filtering
-//   4. parallel execution (N threads)  vs  serial
-//   5. compiled-query-cache replay  vs  cold compile (incl. after DML)
-//   6. static type/cardinality folds  vs  unoptimized evaluation
+//   - planner-chosen index plan  vs  forced collection scan
+//   - interval structural joins  vs  recursive tree walk
+//   - vectorized batch kernels  vs  row-at-a-time filtering
+//   - static type/cardinality folds  vs  unoptimized evaluation
+//   - compiled-query-cache replay  vs  cold compile (incl. after DML)
+//   - parallel execution (N threads)  vs  serial
+//   - DML on planned access paths  vs  DML on forced scans
 //
 // Usage:
 //   xqdiff --seed 1..1000 --queries 50          # sweep a seed range
@@ -209,8 +210,9 @@ int main(int argc, char** argv) {
   std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   std::printf(
-      "xqdiff: %u seed(s), %d queries each, 6 oracles, %.1fs — %lld "
+      "xqdiff: %u seed(s), %d queries each, %zu oracles, %.1fs — %lld "
       "divergence(s)\n",
-      seeds_run, args.queries, elapsed.count(), total_divs);
+      seeds_run, args.queries, xqdb::testing::OracleNames().size(),
+      elapsed.count(), total_divs);
   return total_divs == 0 ? 0 : 1;
 }
