@@ -13,8 +13,8 @@
 #   undefined  UBSan build (-fno-sanitize-recover) + the FULL ctest suite
 #   thread     TSan build + the `concurrency` and `deadlock` ctest labels
 #              (thread pool, parallel exec, cache/metrics contention,
-#              serving layer with live-socket DML), then a bench_parallel
-#              pass under TSan
+#              serving layer with live-socket DML), then the bench
+#              driver's parallel and batch rows under TSan
 #   address    ASan build + the 30s `fuzz-smoke` ctest label
 #   deadlock   -DXQDB_DEADLOCK=ON build + the `deadlock` ctest label
 #              (rank-table pins, detector death tests, the server-session
@@ -141,12 +141,13 @@ for mode in $(echo "$MODES" | tr ',' ' '); do
       # The concurrency label (which includes the batch-execution stats
       # merge pins in parallel_exec_test, and server_test's live-socket
       # readers racing DML — the cross-thread traffic TSan is best at).
-      # The bench_parallel pass drives the vectorized batch kernels and the
-      # index-only aggregate across the 4-thread chunk fan-out under TSan.
+      # The xqbench pass drives the thread ladder, the vectorized batch
+      # kernels and the index-only aggregate across the pool's chunk
+      # fan-out under TSan (its timing gates skip in a sanitizer build).
       run_mode thread -DXQDB_SANITIZE=thread -DXQDB_TIDY=OFF -- \
         bash -c "ctest --output-on-failure -L 'concurrency|deadlock' -j $JOBS && \
-          XQDB_BENCH_ORDERS=200 ./bench/bench_parallel \
-            --out bench_parallel_tsan.json"
+          ./tools/xqbench --smoke --only E-parallel,E-batch \
+            --out xqbench_tsan.json"
       ;;
     address)
       run_mode address -DXQDB_SANITIZE=address -DXQDB_TIDY=OFF -- \
