@@ -39,7 +39,6 @@ int main() {
   (void)db.ExecuteSql(
       "CREATE INDEX li_price ON orders(orddoc) "
       "USING XMLPATTERN '//lineitem/@price' AS SQL DOUBLE");
-  (void)db.ExecuteSql("CREATE INDEX prod_id ON products(id)");
 
   // Query 5: XMLQUERY in the SELECT list — returns a row per order, empty
   // sequences included; not index eligible.

@@ -15,6 +15,7 @@
 #include "core/eligibility.h"
 #include "core/planner.h"
 #include "core/predicate_extract.h"
+#include "sql/schema.h"
 #include "xdm/cast.h"
 #include "xpath/containment.h"
 
@@ -51,35 +52,6 @@ Diagnostic* AddDiag(LintReport* report, DiagCode code, SourceSpan span,
   return &report->diagnostics.back();
 }
 
-void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  fn(e);
-  for (const auto& c : e.children) {
-    if (c != nullptr) WalkExpr(*c, fn);
-  }
-  if (e.path_source != nullptr) WalkExpr(*e.path_source, fn);
-  for (const PathStep& step : e.steps) {
-    if (step.expr != nullptr) WalkExpr(*step.expr, fn);
-    for (const auto& p : step.predicates) {
-      if (p != nullptr) WalkExpr(*p, fn);
-    }
-  }
-  for (const auto& clause : e.clauses) {
-    if (clause.expr != nullptr) WalkExpr(*clause.expr, fn);
-  }
-  if (e.where != nullptr) WalkExpr(*e.where, fn);
-  for (const auto& spec : e.order_by) {
-    if (spec.key != nullptr) WalkExpr(*spec.key, fn);
-  }
-  for (const auto& part : e.ctor_content) {
-    if (part.expr != nullptr) WalkExpr(*part.expr, fn);
-  }
-  for (const auto& attr : e.ctor_attrs) {
-    for (const auto& part : attr.value_parts) {
-      if (part.expr != nullptr) WalkExpr(*part.expr, fn);
-    }
-  }
-}
-
 void WalkSqlExpr(const SqlExpr& e,
                  const std::function<void(const SqlExpr&)>& fn) {
   fn(e);
@@ -89,41 +61,24 @@ void WalkSqlExpr(const SqlExpr& e,
 }
 
 bool ContainsKind(const Expr& e, ExprKind kind) {
-  bool found = false;
-  WalkExpr(e, [&](const Expr& x) {
-    if (x.kind == kind) found = true;
-  });
-  return found;
-}
-
-bool ReferencesVar(const Expr& e, const std::string& var) {
-  bool found = false;
-  WalkExpr(e, [&](const Expr& x) {
-    if (x.kind == ExprKind::kVarRef && x.var == var) found = true;
-  });
-  return found;
+  return AnyExpr(e, [&](const Expr& x) { return x.kind == kind; });
 }
 
 bool PathHasPredicates(const Expr& e) {
-  if (e.kind != ExprKind::kPath) return false;
   for (const PathStep& step : e.steps) {
     if (!step.predicates.empty()) return true;
   }
-  return e.path_source != nullptr && PathHasPredicates(*e.path_source);
+  return false;
 }
 
 /// True when an expression is a filter in spirit: a predicated path or a
 /// comparison. Used by Tip 2 to tell "XMLQUERY extracts a value" apart from
 /// "XMLQUERY was meant to filter".
 bool ContainsFilter(const Expr& e) {
-  bool found = false;
-  WalkExpr(e, [&](const Expr& x) {
-    if (x.kind == ExprKind::kGeneralCompare ||
-        x.kind == ExprKind::kValueCompare || PathHasPredicates(x)) {
-      found = true;
-    }
+  return AnyExpr(e, [](const Expr& x) {
+    return x.kind == ExprKind::kGeneralCompare ||
+           x.kind == ExprKind::kValueCompare || PathHasPredicates(x);
   });
-  return found;
 }
 
 /// The Tip 3 trap: an XMLEXISTS body whose value is xs:boolean. Both true
@@ -621,34 +576,20 @@ void AddSource(std::vector<Source>* sources, const std::string& table,
   sources->push_back(std::move(s));
 }
 
+/// The XML columns feeding an embedded query: its PASSING arguments,
+/// resolved by the planner's column rule over the FROM items it sees
+/// (`schema` is nullptr without a catalog), and its xmlcolumn sources.
 std::vector<Source> ResolveSources(const EmbeddedXQuery& q,
                                    const SelectStmt& sel,
-                                   const Catalog* catalog) {
+                                   const FromSchema* schema,
+                                   size_t visible_items) {
   std::vector<Source> out;
-  if (catalog != nullptr) {
+  if (schema != nullptr) {
     for (const PassingArg& arg : q.passing) {
-      if (arg.value == nullptr ||
-          arg.value->kind != SqlExprKind::kColumnRef) {
-        continue;
-      }
-      for (const TableRef& ref : sel.from) {
-        if (ref.kind != TableRef::Kind::kBaseTable) continue;
-        if (!arg.value->qualifier.empty() &&
-            arg.value->qualifier != ref.alias) {
-          continue;
-        }
-        auto table_result = catalog->GetTable(ref.table_name);
-        if (!table_result.ok()) continue;
-        const Table* table = table_result.value();
-        int col = table->ColumnIndex(arg.value->column);
-        if (col < 0) continue;
-        if (table->columns()[static_cast<size_t>(col)].type !=
-            SqlType::kXml) {
-          continue;
-        }
-        AddSource(&out, ref.table_name, arg.value->column, arg.var_name);
-        break;
-      }
+      const ColumnSlot* slot = schema->PassedColumn(*arg.value, visible_items);
+      if (slot == nullptr || !slot->xml) continue;
+      AddSource(&out, sel.from[slot->item].table_name, slot->name,
+                arg.var_name);
     }
   }
   if (q.parsed.body != nullptr) {
@@ -661,6 +602,7 @@ std::vector<Source> ResolveSources(const EmbeddedXQuery& q,
 }
 
 void LintEmbedded(const EmbeddedXQuery& q, const SelectStmt& sel,
+                  const FromSchema* schema, size_t visible_items,
                   bool xmlexists, bool filtering, const Catalog* catalog,
                   LintReport* report) {
   if (q.parsed.body == nullptr) return;
@@ -670,7 +612,7 @@ void LintEmbedded(const EmbeddedXQuery& q, const SelectStmt& sel,
   ctx.catalog = catalog;
   ctx.xmlexists = xmlexists;
   ctx.filtering = filtering;
-  ctx.sources = ResolveSources(q, sel, catalog);
+  ctx.sources = ResolveSources(q, sel, schema, visible_items);
   AnalyzeBody(*q.parsed.body, ctx, report);
 }
 
@@ -722,6 +664,15 @@ LintReport AnalyzeSqlStatement(const SqlStatement& stmt, std::string_view sql,
     return report;
   }
   const SelectStmt& sel = *stmt.select;
+  // PASSING arguments resolve by the planner's column rule; a FROM list
+  // naming a missing table binds none.
+  std::optional<FromSchema> schema;
+  if (catalog != nullptr) {
+    auto built = BuildFromSchema(sel, *catalog);
+    if (built.ok()) schema = std::move(built).value();
+  }
+  const FromSchema* from = schema.has_value() ? &*schema : nullptr;
+  const size_t all_items = sel.from.size();
 
   bool where_has_exists = false;
   if (sel.where != nullptr) {
@@ -733,19 +684,20 @@ LintReport AnalyzeSqlStatement(const SqlStatement& stmt, std::string_view sql,
   if (sel.where != nullptr) {
     WalkSqlExpr(*sel.where, [&](const SqlExpr& e) {
       if (e.kind == SqlExprKind::kXmlExists && e.xquery != nullptr) {
-        LintEmbedded(*e.xquery, sel, /*xmlexists=*/true, /*filtering=*/true,
-                     catalog, &report);
+        LintEmbedded(*e.xquery, sel, from, all_items, /*xmlexists=*/true,
+                     /*filtering=*/true, catalog, &report);
       } else if (e.kind == SqlExprKind::kXmlQuery && e.xquery != nullptr) {
-        LintEmbedded(*e.xquery, sel, /*xmlexists=*/false, /*filtering=*/true,
-                     catalog, &report);
+        LintEmbedded(*e.xquery, sel, from, all_items, /*xmlexists=*/false,
+                     /*filtering=*/true, catalog, &report);
       }
     });
   }
 
-  for (const TableRef& ref : sel.from) {
+  for (size_t item = 0; item < sel.from.size(); ++item) {
+    const TableRef& ref = sel.from[item];
     if (ref.kind != TableRef::Kind::kXmlTable) continue;
     if (ref.row_query != nullptr) {
-      LintEmbedded(*ref.row_query, sel, /*xmlexists=*/false,
+      LintEmbedded(*ref.row_query, sel, from, item, /*xmlexists=*/false,
                    /*filtering=*/true, catalog, &report);
     }
     // Tip 4: an XMLTABLE column path with a predicate never eliminates the
@@ -774,8 +726,8 @@ LintReport AnalyzeSqlStatement(const SqlStatement& stmt, std::string_view sql,
     if (item.star || item.expr == nullptr) continue;
     WalkSqlExpr(*item.expr, [&](const SqlExpr& e) {
       if (e.kind != SqlExprKind::kXmlQuery || e.xquery == nullptr) return;
-      LintEmbedded(*e.xquery, sel, /*xmlexists=*/false, /*filtering=*/false,
-                   catalog, &report);
+      LintEmbedded(*e.xquery, sel, from, all_items, /*xmlexists=*/false,
+                   /*filtering=*/false, catalog, &report);
       // Tip 2: a predicate inside SELECT-list XMLQUERY shrinks each row's
       // result but eliminates no rows.
       if (e.xquery->parsed.body != nullptr &&

@@ -15,7 +15,7 @@ namespace lockorder {
 
 namespace {
 
-/// Hard bound on distinct lock classes; the declared table has 19 rows and
+/// Hard bound on distinct lock classes; the declared table has 18 rows and
 /// registration aborts on undeclared names, so this can never be hit
 /// without first growing kLockHierarchy.
 constexpr int kMaxClasses = 32;

@@ -53,7 +53,6 @@ enum class LockRank : int {
   // per-column path summary.
   kIndexManager = 400,
   kXmlIndex = 420,
-  kRelationalIndex = 425,
   kPathSummary = 430,
   // plan/pattern cache band.
   kQueryCache = 500,
@@ -96,7 +95,7 @@ struct LockRankRow {
 /// The declared lock hierarchy — the enforced artifact DESIGN.md §9's
 /// table renders. Every Mutex/SharedMutex construction site names one of
 /// these rows; checking builds abort on a name or rank not in the table.
-inline constexpr std::array<LockRankRow, 19> kLockHierarchy = {{
+inline constexpr std::array<LockRankRow, 18> kLockHierarchy = {{
     {"epoch.writer", LockRank::kEpochWriter, "common/epoch", "-"},
     {"epoch.pins", LockRank::kEpochPins, "common/epoch", "epoch.writer"},
     {"storage.catalog", LockRank::kCatalog, "storage/catalog",
@@ -106,8 +105,6 @@ inline constexpr std::array<LockRankRow, 19> kLockHierarchy = {{
     {"index.manager", LockRank::kIndexManager, "index/index_manager",
      "epoch.writer"},
     {"index.xml", LockRank::kXmlIndex, "index/xml_index", "epoch.writer"},
-    {"index.rel", LockRank::kRelationalIndex, "index/index_manager",
-     "epoch.writer"},
     {"index.path_summary", LockRank::kPathSummary, "index/path_summary",
      "epoch.writer"},
     {"cache.query", LockRank::kQueryCache, "core/query_cache",

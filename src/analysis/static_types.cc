@@ -296,68 +296,6 @@ class Inferencer {
     return out;
   }
 
-  /// Converts one axis step into the linear pattern algebra (the same
-  /// normalization predicate extraction uses). Returns false when the step
-  /// has no linear form — the DataGuide then cannot type the suffix.
-  static bool AppendAxisStep(const PathStep& step, bool* pending_skip,
-                             std::vector<NormStep>* steps) {
-    auto name_test = [&](bool attr) {
-      const NodeTestSpec& t = step.test;
-      switch (t.kind) {
-        case NodeTestSpec::Kind::kName:
-          return attr ? AttributeTest(t.name) : ElementTest(t.name);
-        case NodeTestSpec::Kind::kAnyNode:
-          return attr ? AnyAttributeTest() : ChildNodeTest();
-        case NodeTestSpec::Kind::kText:
-          return attr ? StepTest{} : KindTextTest();
-        case NodeTestSpec::Kind::kComment:
-          return attr ? StepTest{} : KindCommentTest();
-        case NodeTestSpec::Kind::kPi:
-          return attr ? StepTest{} : KindPiTest(t.name.local);
-        case NodeTestSpec::Kind::kDocument:
-          return StepTest{};
-      }
-      return StepTest{};
-    };
-    switch (step.axis) {
-      case PathAxis::kChild: {
-        StepTest t = name_test(/*attr=*/false);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{*pending_skip, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kAttribute: {
-        StepTest t = name_test(/*attr=*/true);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{*pending_skip, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kDescendant: {
-        StepTest t = name_test(/*attr=*/false);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{true, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kDescendantOrSelf:
-        if (step.test.kind == NodeTestSpec::Kind::kAnyNode) {
-          *pending_skip = true;
-          return true;
-        }
-        return false;
-      case PathAxis::kSelf:
-        return step.test.kind == NodeTestSpec::Kind::kAnyNode &&
-               !*pending_skip;
-      case PathAxis::kParent:
-      case PathAxis::kAncestor:
-      case PathAxis::kAncestorOrSelf:
-        return false;
-    }
-    return false;
-  }
-
   /// Infers a step predicate with the focus set to "some node". Returns
   /// whether evaluating the predicate could raise. The predicate's truth is
   /// never used for emptiness: a numeric predicate is positional, so its
@@ -386,10 +324,8 @@ class Inferencer {
     AbsType src;
     size_t first = 0;
     const Expr* source_expr = nullptr;
-    if (e.path_source != nullptr) {
-      source_expr = e.path_source.get();
-    } else if (!e.steps.empty() && !e.steps[0].is_axis_step &&
-               e.steps[0].expr != nullptr) {
+    if (!e.steps.empty() && !e.steps[0].is_axis_step &&
+        e.steps[0].expr != nullptr) {
       source_expr = e.steps[0].expr.get();
       first = 1;
     }
@@ -398,10 +334,8 @@ class Inferencer {
       src.type.always_nodes = true;
     } else if (source_expr != nullptr) {
       src = Infer(*source_expr);
-      if (first == 1) {
-        for (const auto& pred : e.steps[0].predicates) {
-          if (PredicateCanRaise(*pred)) src.type.can_raise = true;
-        }
+      for (const auto& pred : e.steps[0].predicates) {
+        if (PredicateCanRaise(*pred)) src.type.can_raise = true;
       }
     } else if (context_.has_value()) {
       src = *context_;
@@ -436,7 +370,7 @@ class Inferencer {
         continue;
       }
       if (convert_ok &&
-          !AppendAxisStep(step, &pending_skip, &origin.steps)) {
+          !AppendNormStep(step, &pending_skip, &origin.steps)) {
         convert_ok = false;
       }
     }

@@ -53,12 +53,6 @@ std::string ToUpperAscii(std::string_view s) {
   return out;
 }
 
-std::string ToLowerAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = std::tolower(static_cast<unsigned char>(c));
-  return out;
-}
-
 std::vector<std::string> SplitString(std::string_view s, char delim) {
   std::vector<std::string> parts;
   size_t start = 0;

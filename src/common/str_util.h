@@ -19,7 +19,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Uppercases ASCII letters (SQL identifier normalization).
 std::string ToUpperAscii(std::string_view s);
-std::string ToLowerAscii(std::string_view s);
 
 /// Splits on a delimiter character; does not trim pieces.
 std::vector<std::string> SplitString(std::string_view s, char delim);

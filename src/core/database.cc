@@ -625,29 +625,27 @@ Result<ResultSet> Database::RunCreateTable(const CreateTableStmt& stmt) {
 }
 
 Result<ResultSet> Database::RunCreateIndex(const CreateIndexStmt& stmt) {
+  if (!stmt.is_xml_pattern) {
+    // No plan reads a relational index, so none is built.
+    return Status::Unsupported("CREATE INDEX " + stmt.index_name +
+                               ": only XML value indexes (USING XMLPATTERN) "
+                               "are supported");
+  }
   XQDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.table_name));
   // Backfill keeps deferred-deleted rows a pinned snapshot can still see
   // (delete_epoch > OldestPinned()); the vacuum erases them later.
-  const uint64_t keep_deleted_after = epoch_manager_.OldestPinned();
-  if (stmt.is_xml_pattern) {
-    XQDB_RETURN_IF_ERROR(table->CreateXmlIndex(
-        stmt.index_name, stmt.column_name, stmt.pattern, stmt.xml_type,
-        keep_deleted_after));
-  } else {
-    XQDB_RETURN_IF_ERROR(table->CreateRelationalIndex(
-        stmt.index_name, stmt.column_name, keep_deleted_after));
-  }
+  XQDB_RETURN_IF_ERROR(table->CreateXmlIndex(
+      stmt.index_name, stmt.column_name, stmt.pattern, stmt.xml_type,
+      epoch_manager_.OldestPinned()));
   // A new index can flip a cached plan from scan to probe: invalidate.
   catalog_.BumpVersion();
+  // Surface the bulk build's Pattern-NFA work: how many nodes matched the
+  // XMLPATTERN and how many were tolerantly skipped as uncastable.
   ResultSet rs;
-  if (stmt.is_xml_pattern) {
-    // Surface the bulk build's Pattern-NFA work: how many nodes matched the
-    // XMLPATTERN and how many were tolerantly skipped as uncastable.
-    if (const XmlIndex* idx =
-            table->indexes().FindXmlIndexByName(stmt.index_name)) {
-      rs.stats.nfa_matches = static_cast<long long>(idx->nfa_match_count());
-      rs.stats.cast_failures = static_cast<long long>(idx->cast_skip_count());
-    }
+  if (const XmlIndex* idx =
+          table->indexes().FindXmlIndexByName(stmt.index_name)) {
+    rs.stats.nfa_matches = static_cast<long long>(idx->nfa_match_count());
+    rs.stats.cast_failures = static_cast<long long>(idx->cast_skip_count());
   }
   return rs;
 }

@@ -172,11 +172,12 @@ void DedupNotes(std::vector<std::string>* notes) {
 }  // namespace
 
 /// Last resort before a full scan when the collection has a path summary:
-/// answer "which rows contain this path" from the DataGuide. Works with
-/// zero indexes defined, scans zero documents, and — because the summary
-/// is maintained transactionally with DML — is consulted at execution
-/// time, so cached plans never go stale. Returns false if no extracted
-/// predicate's path compiles to an automaton.
+/// answer "which rows contain this path" from the DataGuide, which admits
+/// exactly the documents holding the path; the residual query then
+/// evaluates each admitted document. Works with zero indexes defined and
+/// — because the summary is maintained transactionally with DML — is
+/// consulted at execution time, so cached plans never go stale. Returns
+/// false if no extracted predicate's path compiles to an automaton.
 bool TrySummaryExistence(const ExtractionResult& extraction,
                          const PathSummary* summary,
                          const std::string& table, const std::string& column,
@@ -192,13 +193,17 @@ bool TrySummaryExistence(const ExtractionResult& extraction,
     path->summary_column = column;
     path->summary_path_text = pred.path_text;
     path->summary = "path-summary existence probe for " + pred.description +
-                    " (no eligible index; rows from the DataGuide, "
-                    "docs_scanned = 0)";
-    path->notes.push_back(
-        DiagTag(DiagCode::kXQL015_SummaryAnswerable) + "existence of " +
-        pred.path_text +
-        " is answerable from the collection's path summary alone — no "
-        "document is opened to find the qualifying rows");
+                    " (no eligible index)";
+    // Only a structural predicate is answered by the probe itself (the
+    // rule xqlint's XQL015 applies); a value comparison still reads every
+    // admitted document.
+    if (!pred.has_value) {
+      path->notes.push_back(
+          DiagTag(DiagCode::kXQL015_SummaryAnswerable) + "existence of " +
+          pred.path_text +
+          " is answerable from the collection's path summary alone: the "
+          "DataGuide admits exactly the documents that hold it");
+    }
     return true;
   }
   return false;

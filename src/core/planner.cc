@@ -1,7 +1,6 @@
 #include "core/planner.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 
 #include "core/eligibility.h"
@@ -10,78 +9,6 @@
 namespace xqdb {
 
 namespace {
-
-void CollectSourcesRec(const Expr& e,
-                       std::set<std::pair<std::string, std::string>>* out) {
-  if (e.kind == ExprKind::kXmlColumn) {
-    out->insert({e.table_name, e.column_name});
-  }
-  for (const auto& c : e.children) {
-    if (c != nullptr) CollectSourcesRec(*c, out);
-  }
-  if (e.kind == ExprKind::kPath) {
-    for (const PathStep& step : e.steps) {
-      if (step.expr != nullptr) CollectSourcesRec(*step.expr, out);
-      for (const auto& p : step.predicates) CollectSourcesRec(*p, out);
-    }
-  }
-  if (e.kind == ExprKind::kFlwor) {
-    for (const auto& clause : e.clauses) CollectSourcesRec(*clause.expr, out);
-    if (e.where != nullptr) CollectSourcesRec(*e.where, out);
-    for (const auto& spec : e.order_by) CollectSourcesRec(*spec.key, out);
-  }
-  if (e.kind == ExprKind::kDirectElement) {
-    for (const auto& part : e.ctor_content) {
-      if (part.expr != nullptr) CollectSourcesRec(*part.expr, out);
-    }
-    for (const auto& attr : e.ctor_attrs) {
-      for (const auto& part : attr.value_parts) {
-        if (part.expr != nullptr) CollectSourcesRec(*part.expr, out);
-      }
-    }
-  }
-}
-
-/// Splits a WHERE tree into top-level AND conjuncts.
-void Conjuncts(const SqlExpr& e, std::vector<const SqlExpr*>* out) {
-  if (e.kind == SqlExprKind::kAnd) {
-    Conjuncts(*e.children[0], out);
-    Conjuncts(*e.children[1], out);
-  } else {
-    out->push_back(&e);
-  }
-}
-
-/// Converts one aggregate-argument axis step to a linear-pattern step for
-/// the covering-index check (same conversion the eligibility extractor
-/// applies to predicate paths). Returns false = not index-only material.
-bool AppendCoveredStep(const PathStep& step, bool* pending_skip,
-                       std::vector<NormStep>* steps) {
-  if (step.test.kind == NodeTestSpec::Kind::kAnyNode &&
-      step.axis == PathAxis::kDescendantOrSelf) {
-    *pending_skip = true;
-    return true;
-  }
-  if (step.test.kind != NodeTestSpec::Kind::kName) return false;
-  switch (step.axis) {
-    case PathAxis::kChild:
-      steps->push_back(NormStep{
-          *pending_skip, ElementTest(step.test.name)});
-      break;
-    case PathAxis::kDescendant:
-      steps->push_back(NormStep{
-          true, ElementTest(step.test.name)});
-      break;
-    case PathAxis::kAttribute:
-      steps->push_back(NormStep{
-          *pending_skip, AttributeTest(step.test.name)});
-      break;
-    default:
-      return false;
-  }
-  *pending_skip = false;
-  return true;
-}
 
 /// A query shape a covering index can answer without touching documents:
 /// one aggregate over one predicate-free simple path rooted at
@@ -126,8 +53,11 @@ std::optional<IndexOnlyCandidate> DetectIndexOnlyAggregate(const Expr& body) {
   bool pending_skip = false;
   for (size_t i = 1; i < arg.steps.size(); ++i) {
     const PathStep& step = arg.steps[i];
-    if (!step.is_axis_step || !step.predicates.empty()) return std::nullopt;
-    if (!AppendCoveredStep(step, &pending_skip, &steps)) return std::nullopt;
+    if (!step.is_axis_step || !step.predicates.empty() ||
+        !IsNameOnlyStep(step) ||
+        !AppendNormStep(step, &pending_skip, &steps)) {
+      return std::nullopt;
+    }
   }
   if (pending_skip || steps.empty()) return std::nullopt;  // trailing '//'
   IndexOnlyCandidate c;
@@ -138,33 +68,22 @@ std::optional<IndexOnlyCandidate> DetectIndexOnlyAggregate(const Expr& body) {
   return c;
 }
 
-/// If `e` is a column reference to an XML column of base ref `ref`,
-/// returns the column name.
-std::optional<std::string> XmlColumnOfRef(const SqlExpr& e,
-                                          const TableRef& ref,
-                                          const Table& table) {
-  if (e.kind != SqlExprKind::kColumnRef) return std::nullopt;
-  if (!e.qualifier.empty() && e.qualifier != ref.alias) return std::nullopt;
-  int col = table.ColumnIndex(e.column);
-  if (col < 0) return std::nullopt;
-  if (table.columns()[static_cast<size_t>(col)].type != SqlType::kXml) {
-    return std::nullopt;
-  }
-  return e.column;
-}
-
 }  // namespace
 
 std::vector<std::pair<std::string, std::string>> CollectXmlColumnSources(
     const Expr& e) {
   std::set<std::pair<std::string, std::string>> set;
-  CollectSourcesRec(e, &set);
+  WalkExpr(e, [&](const Expr& x) {
+    if (x.kind == ExprKind::kXmlColumn) {
+      set.insert({x.table_name, x.column_name});
+    }
+  });
   return {set.begin(), set.end()};
 }
 
 void Planner::FoldStaticConjuncts(
-    const SelectStmt& stmt, const std::vector<const SqlExpr*>& conjuncts,
-    SelectPlan* plan) const {
+    const SelectStmt& stmt, const FromSchema& schema,
+    const std::vector<const SqlExpr*>& conjuncts, SelectPlan* plan) const {
   bool all_base_tables = true;
   for (const TableRef& ref : stmt.from) {
     if (ref.kind != TableRef::Kind::kBaseTable) all_base_tables = false;
@@ -176,33 +95,16 @@ void Planner::FoldStaticConjuncts(
         conjunct->xquery->parsed.body == nullptr) {
       continue;
     }
-    // Bind every PASSING variable to its XML column; a PASSING argument we
-    // cannot resolve leaves the variable's type unknown, which the
-    // inference handles (unknown types just prove nothing), but a
-    // non-column argument (a computed value) is left unbound the same way.
+    // Bind every PASSING variable to its XML column; an argument that is
+    // not an XML column, or does not resolve to exactly one, leaves the
+    // variable's type unknown, which proves nothing.
     std::vector<ColumnBinding> bindings;
     for (const PassingArg& arg : conjunct->xquery->passing) {
-      if (arg.value == nullptr ||
-          arg.value->kind != SqlExprKind::kColumnRef) {
-        continue;
-      }
-      for (const TableRef& ref : stmt.from) {
-        if (ref.kind != TableRef::Kind::kBaseTable) continue;
-        if (!arg.value->qualifier.empty() &&
-            arg.value->qualifier != ref.alias) {
-          continue;
-        }
-        auto table = catalog_->GetTable(ref.table_name);
-        if (!table.ok()) continue;
-        int col = table.value()->ColumnIndex(arg.value->column);
-        if (col < 0 || table.value()->columns()[static_cast<size_t>(col)]
-                               .type != SqlType::kXml) {
-          continue;
-        }
-        bindings.push_back(
-            ColumnBinding{arg.var_name, ref.table_name, arg.value->column});
-        break;
-      }
+      const ColumnSlot* slot =
+          schema.PassedColumn(*arg.value, stmt.from.size());
+      if (slot == nullptr || !slot->xml) continue;
+      bindings.push_back(ColumnBinding{
+          arg.var_name, stmt.from[slot->item].table_name, slot->name});
     }
     StaticQueryFacts facts = InferStaticTypes(
         *conjunct->xquery->parsed.body, catalog_, bindings);
@@ -253,82 +155,76 @@ void Planner::FoldStaticConjuncts(
 }
 
 Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
+  XQDB_ASSIGN_OR_RETURN(FromSchema schema, BuildFromSchema(stmt, *catalog_));
   SelectPlan plan;
   plan.access.resize(stmt.from.size());
 
   std::vector<const SqlExpr*> where_conjuncts;
-  if (stmt.where != nullptr) Conjuncts(*stmt.where, &where_conjuncts);
+  if (stmt.where != nullptr) SplitConjuncts(*stmt.where, &where_conjuncts);
 
-  if (static_enabled_) FoldStaticConjuncts(stmt, where_conjuncts, &plan);
+  if (static_enabled_) {
+    FoldStaticConjuncts(stmt, schema, where_conjuncts, &plan);
+  }
 
   for (size_t i = 0; i < stmt.from.size(); ++i) {
     const TableRef& ref = stmt.from[i];
     AccessPath& access = plan.access[i];
-    if (ref.kind != TableRef::Kind::kBaseTable) {
+    const Table* table = schema.tables[i];
+    if (table == nullptr) {
       access.summary = "XMLTABLE (lateral row producer)";
       continue;
     }
-    auto table_result = catalog_->GetTable(ref.table_name);
-    if (!table_result.ok()) return table_result.status();
-    const Table* table = table_result.value();
 
     // Gather filtering XQuery contexts touching this table's XML columns.
     ExtractionResult merged;
     std::vector<const XmlIndex*> candidate_indexes;
     std::string used_column;
 
-    // Maps a variable name in the embedded query to the FROM position of
-    // the base ref whose column the PASSING clause binds it to.
-    auto passing_ref_index = [&](const EmbeddedXQuery& q,
-                                 const std::string& var) -> int {
+    // The FROM position of the column the PASSING clause binds `var` to;
+    // -1 when it binds none. `visible_items` is what the embedded query
+    // sees of the FROM list.
+    auto passing_item = [&](const EmbeddedXQuery& q, size_t visible_items,
+                            const std::string& var) -> int {
       for (const PassingArg& arg : q.passing) {
         if (arg.var_name != var) continue;
-        if (arg.value->kind != SqlExprKind::kColumnRef) return -1;
-        for (size_t j = 0; j < stmt.from.size(); ++j) {
-          if (stmt.from[j].kind == TableRef::Kind::kBaseTable &&
-              (arg.value->qualifier.empty() ||
-               arg.value->qualifier == stmt.from[j].alias)) {
-            auto tr = catalog_->GetTable(stmt.from[j].table_name);
-            if (tr.ok() &&
-                tr.value()->ColumnIndex(arg.value->column) >= 0) {
-              return static_cast<int>(j);
-            }
-          }
-        }
-        return -1;
+        const ColumnSlot* slot = schema.PassedColumn(*arg.value, visible_items);
+        return slot == nullptr ? -1 : static_cast<int>(slot->item);
       }
       return -1;
     };
 
-    // The root variable of the outer side of a join candidate.
-    std::function<const std::string*(const Expr&)> root_var =
-        [&](const Expr& expr) -> const std::string* {
-      if (expr.kind == ExprKind::kVarRef) return &expr.var;
-      if (expr.kind == ExprKind::kCastAs && !expr.children.empty()) {
-        return root_var(*expr.children[0]);
+    // The root variable of the outer side of a join candidate: follows
+    // casts and path sources down to a variable reference.
+    auto root_var = [](const Expr* expr) -> const std::string* {
+      while (expr != nullptr && expr->kind != ExprKind::kVarRef) {
+        if (expr->kind == ExprKind::kCastAs && !expr->children.empty()) {
+          expr = expr->children[0].get();
+        } else if (expr->kind == ExprKind::kPath && !expr->steps.empty() &&
+                   !expr->steps[0].is_axis_step) {
+          expr = expr->steps[0].expr.get();
+        } else {
+          return nullptr;
+        }
       }
-      if (expr.kind == ExprKind::kPath && !expr.steps.empty() &&
-          !expr.steps[0].is_axis_step && expr.steps[0].expr != nullptr) {
-        return root_var(*expr.steps[0].expr);
-      }
-      return nullptr;
+      return expr == nullptr ? nullptr : &expr->var;
     };
 
-    auto analyze_embedded = [&](const EmbeddedXQuery& q, bool filtering,
-                                const char* context_desc) {
+    auto analyze_embedded = [&](const EmbeddedXQuery& q, size_t visible_items,
+                                bool filtering, const char* context_desc) {
       for (const PassingArg& arg : q.passing) {
-        auto col = XmlColumnOfRef(*arg.value, ref, *table);
-        if (!col.has_value()) continue;
+        const ColumnSlot* slot = schema.PassedColumn(*arg.value, visible_items);
+        if (slot == nullptr || !slot->xml || slot->item != i) continue;
+        const std::string& col = slot->name;
         if (!filtering) {
           merged.notes.push_back(
               DiagTag(DiagCode::kXQL002_PredicateInSelect) +
               std::string(context_desc) +
               " does not eliminate rows — its predicates on " + ref.alias +
-              "." + *col + " are not index eligible");
+              "." + col + " are not index eligible");
           continue;
         }
         ExtractionResult r = ExtractPredicates(
-            *q.parsed.body, ref.table_name, *col, {arg.var_name});
+            *q.parsed.body, ref.table_name, col, {arg.var_name});
         for (auto& p : r.predicates) {
           merged.predicates.push_back(std::move(p));
         }
@@ -336,10 +232,9 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
           // A join probe needs the outer side to be computable before this
           // ref joins: its root variable must be passed from an *earlier*
           // FROM item.
-          const std::string* var = jc.outer_expr != nullptr
-                                       ? root_var(*jc.outer_expr)
-                                       : nullptr;
-          int outer_ref = var != nullptr ? passing_ref_index(q, *var) : -1;
+          const std::string* var = root_var(jc.outer_expr);
+          int outer_ref =
+              var != nullptr ? passing_item(q, visible_items, *var) : -1;
           if (outer_ref < 0 || outer_ref >= static_cast<int>(i)) {
             merged.notes.push_back(
                 DiagTag(DiagCode::kXQL006_JoinOrderUnavailable) +
@@ -354,21 +249,22 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
         for (auto& n : r.notes) merged.notes.push_back(std::move(n));
         if (used_column.empty() &&
             (!merged.predicates.empty() || !merged.joins.empty())) {
-          used_column = *col;
+          used_column = col;
         }
       }
     };
 
     for (const SqlExpr* conjunct : where_conjuncts) {
       if (conjunct->kind == SqlExprKind::kXmlExists) {
-        analyze_embedded(*conjunct->xquery, /*filtering=*/true,
-                         "XMLEXISTS in WHERE");
+        analyze_embedded(*conjunct->xquery, stmt.from.size(),
+                         /*filtering=*/true, "XMLEXISTS in WHERE");
       }
     }
-    for (const TableRef& other : stmt.from) {
+    for (size_t j = 0; j < stmt.from.size(); ++j) {
+      const TableRef& other = stmt.from[j];
       if (other.kind == TableRef::Kind::kXmlTable &&
           other.row_query != nullptr) {
-        analyze_embedded(*other.row_query, /*filtering=*/true,
+        analyze_embedded(*other.row_query, j, /*filtering=*/true,
                          "XMLTABLE row producer");
         for (const XmlTableColumn& col : other.columns) {
           if (!col.for_ordinality && col.path_text.find('[') !=
@@ -385,7 +281,8 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
     for (const SelectItem& item : stmt.items) {
       if (!item.star && item.expr != nullptr &&
           item.expr->kind == SqlExprKind::kXmlQuery) {
-        analyze_embedded(*item.expr->xquery, /*filtering=*/false,
+        analyze_embedded(*item.expr->xquery, stmt.from.size(),
+                         /*filtering=*/false,
                          "XMLQUERY in the SELECT list (Tip 2, Query 5)");
       }
     }

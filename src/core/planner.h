@@ -7,6 +7,7 @@
 #include "analysis/static_types.h"
 #include "common/result.h"
 #include "sql/plan.h"
+#include "sql/schema.h"
 #include "sql/sql_ast.h"
 #include "storage/catalog.h"
 
@@ -45,7 +46,7 @@ class Planner {
   /// the conjunct's truth value is proven and the body cannot raise. A
   /// false first conjunct over an all-base-table FROM additionally marks
   /// the plan STATIC EMPTY.
-  void FoldStaticConjuncts(const SelectStmt& stmt,
+  void FoldStaticConjuncts(const SelectStmt& stmt, const FromSchema& schema,
                            const std::vector<const SqlExpr*>& conjuncts,
                            SelectPlan* plan) const;
 

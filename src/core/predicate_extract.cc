@@ -1,5 +1,6 @@
 #include "core/predicate_extract.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -53,22 +54,6 @@ bool IsUpperBoundOp(CompareOp op) {
   return op == CompareOp::kLt || op == CompareOp::kLe;
 }
 
-/// True when the expression tree contains a direct element constructor.
-bool ContainsConstructor(const Expr& e) {
-  if (e.kind == ExprKind::kDirectElement) return true;
-  for (const auto& c : e.children) {
-    if (c != nullptr && ContainsConstructor(*c)) return true;
-  }
-  if (e.kind == ExprKind::kFlwor) {
-    for (const auto& clause : e.clauses) {
-      if (clause.expr != nullptr && ContainsConstructor(*clause.expr)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 class Extractor {
  public:
   Extractor(std::string table, std::string column,
@@ -96,83 +81,7 @@ class Extractor {
   }
 
  private:
-  // ----- Path-step conversion -------------------------------------------
-
-  /// Maps a NodeTestSpec to a step test for non-attribute axes.
-  static StepTest NonAttrTestOf(const NodeTestSpec& t) {
-    switch (t.kind) {
-      case NodeTestSpec::Kind::kName:
-        return ElementTest(t.name);
-      case NodeTestSpec::Kind::kAnyNode:
-        return ChildNodeTest();
-      case NodeTestSpec::Kind::kText:
-        return KindTextTest();
-      case NodeTestSpec::Kind::kComment:
-        return KindCommentTest();
-      case NodeTestSpec::Kind::kPi:
-        return KindPiTest(t.name.local);
-      case NodeTestSpec::Kind::kDocument:
-        return StepTest{};  // unsupported in this algebra
-    }
-    return StepTest{};
-  }
-
-  static StepTest AttrTestOf(const NodeTestSpec& t) {
-    switch (t.kind) {
-      case NodeTestSpec::Kind::kName:
-        return AttributeTest(t.name);
-      case NodeTestSpec::Kind::kAnyNode:
-        return AnyAttributeTest();
-      default:
-        return StepTest{};
-    }
-  }
-
-  /// Appends one axis step; returns false when the step cannot be expressed
-  /// in the linear pattern algebra (conservative: extraction aborts).
-  bool AppendAxisStep(const PathStep& step, bool* pending_skip, Steps* steps) {
-    switch (step.axis) {
-      case PathAxis::kChild: {
-        StepTest t = NonAttrTestOf(step.test);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{*pending_skip, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kAttribute: {
-        StepTest t = AttrTestOf(step.test);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{*pending_skip, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kDescendant: {
-        StepTest t = NonAttrTestOf(step.test);
-        if (t.IsEmpty()) return false;
-        steps->push_back(NormStep{true, t});
-        *pending_skip = false;
-        return true;
-      }
-      case PathAxis::kDescendantOrSelf:
-        if (step.test.kind == NodeTestSpec::Kind::kAnyNode) {
-          *pending_skip = true;
-          return true;
-        }
-        return false;
-      case PathAxis::kSelf:
-        // self::node() is a no-op on the path; anything else would need
-        // test intersection — skip conservatively.
-        return step.test.kind == NodeTestSpec::Kind::kAnyNode &&
-               !*pending_skip;
-      case PathAxis::kParent:
-      case PathAxis::kAncestor:
-      case PathAxis::kAncestorOrSelf:
-        // Upward navigation has no linear-pattern form: extraction aborts
-        // and the predicate stays ineligible (Definition 1).
-        return false;
-    }
-    return false;
-  }
+  // ----- Path resolution -------------------------------------------------
 
   /// A "transparent" expression step preserves the navigated node's value:
   /// fn:data(.) / fn:data() or a cast of the context item (xs:double(.)).
@@ -274,7 +183,7 @@ class Extractor {
         }
         continue;
       }
-      if (!AppendAxisStep(step, &pending_skip, &out.steps)) {
+      if (!AppendNormStep(step, &pending_skip, &out.steps)) {
         return std::nullopt;
       }
       ++consuming_steps;
@@ -649,7 +558,9 @@ class Extractor {
   }
 
   void AnalyzeReturn(const Expr& e) {
-    if (e.kind == ExprKind::kDirectElement || ContainsConstructor(e)) {
+    if (AnyExpr(e, [](const Expr& x) {
+          return x.kind == ExprKind::kDirectElement;
+        })) {
       if (PathHasPredicates(e)) {
         out_.notes.push_back(
             DiagTag(DiagCode::kXQL104_NotDocumentEliminating) +
@@ -671,64 +582,14 @@ class Extractor {
     }
   }
 
-  /// True when `e` references $var (FLWOR clause/where subtrees included;
-  /// shadowing inner rebindings are rare enough to ignore conservatively).
-  static bool ReferencesVar(const Expr& e, const std::string& var) {
-    if (e.kind == ExprKind::kVarRef && e.var == var) return true;
-    for (const auto& c : e.children) {
-      if (c != nullptr && ReferencesVar(*c, var)) return true;
-    }
-    if (e.kind == ExprKind::kFlwor) {
-      for (const auto& clause : e.clauses) {
-        if (clause.expr != nullptr && ReferencesVar(*clause.expr, var)) {
-          return true;
-        }
-      }
-      if (e.where != nullptr && ReferencesVar(*e.where, var)) return true;
-    }
-    if (e.kind == ExprKind::kPath) {
-      if (e.path_source != nullptr && ReferencesVar(*e.path_source, var)) {
-        return true;
-      }
-      for (const PathStep& step : e.steps) {
-        if (step.expr != nullptr && ReferencesVar(*step.expr, var)) {
-          return true;
-        }
-        for (const auto& pred : step.predicates) {
-          if (pred != nullptr && ReferencesVar(*pred, var)) return true;
-        }
-      }
-    }
-    return false;
-  }
-
+  /// True when a path with a predicated step occurs in `e`.
   static bool PathHasPredicates(const Expr& e) {
-    if (e.kind == ExprKind::kPath) {
-      for (const PathStep& step : e.steps) {
-        if (!step.predicates.empty()) return true;
-        if (!step.is_axis_step && step.expr != nullptr &&
-            PathHasPredicates(*step.expr)) {
-          return true;
-        }
-      }
-    }
-    for (const auto& c : e.children) {
-      if (c != nullptr && PathHasPredicates(*c)) return true;
-    }
-    if (e.kind == ExprKind::kFlwor) {
-      for (const auto& clause : e.clauses) {
-        if (PathHasPredicates(*clause.expr)) return true;
-      }
-      if (e.where != nullptr && PathHasPredicates(*e.where)) return true;
-    }
-    if (e.kind == ExprKind::kDirectElement) {
-      for (const auto& part : e.ctor_content) {
-        if (part.expr != nullptr && PathHasPredicates(*part.expr)) {
-          return true;
-        }
-      }
-    }
-    return false;
+    return AnyExpr(e, [](const Expr& x) {
+      return std::any_of(x.steps.begin(), x.steps.end(),
+                         [](const PathStep& step) {
+                           return !step.predicates.empty();
+                         });
+    });
   }
 
   /// One in-scope variable: the steps it denotes plus (for FLWOR-bound

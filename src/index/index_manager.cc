@@ -2,64 +2,13 @@
 
 namespace xqdb {
 
-void RelationalIndex::InsertString(const std::string& key, uint32_t row) {
-  WriterMutexLock lock(*mu_);
-  string_tree_.Insert(key, row);
-}
-
-void RelationalIndex::InsertDouble(double key, uint32_t row) {
-  WriterMutexLock lock(*mu_);
-  double_tree_.Insert(key, row);
-}
-
-bool RelationalIndex::EraseString(const std::string& key, uint32_t row) {
-  WriterMutexLock lock(*mu_);
-  return string_tree_.Erase(key, row);
-}
-
-bool RelationalIndex::EraseDouble(double key, uint32_t row) {
-  WriterMutexLock lock(*mu_);
-  return double_tree_.Erase(key, row);
-}
-
-std::vector<uint32_t> RelationalIndex::LookupString(const std::string& key,
-                                                    size_t* scanned) const {
-  ReaderMutexLock lock(*mu_);
-  std::vector<uint32_t> rows;
-  size_t n = string_tree_.ScanEqual(
-      key, [&](const uint32_t& row) { rows.push_back(row); });
-  if (scanned != nullptr) *scanned += n;
-  return rows;
-}
-
-std::vector<uint32_t> RelationalIndex::LookupDouble(double key,
-                                                    size_t* scanned) const {
-  ReaderMutexLock lock(*mu_);
-  std::vector<uint32_t> rows;
-  size_t n = double_tree_.ScanEqual(
-      key, [&](const uint32_t& row) { rows.push_back(row); });
-  if (scanned != nullptr) *scanned += n;
-  return rows;
-}
-
 Status IndexManager::AddXmlIndex(const std::string& column, XmlIndex index) {
   WriterMutexLock lock(mu_);
-  if (HasIndexNamedLocked(index.name())) {
+  if (FindXmlIndexByNameLocked(index.name()) != nullptr) {
     return Status::AlreadyExists("index " + index.name() + " already exists");
   }
   xml_indexes_[column].push_back(
       std::make_unique<XmlIndex>(std::move(index)));
-  return Status::OK();
-}
-
-Status IndexManager::AddRelationalIndex(const std::string& column,
-                                        RelationalIndex index) {
-  WriterMutexLock lock(mu_);
-  if (HasIndexNamedLocked(index.name())) {
-    return Status::AlreadyExists("index " + index.name() + " already exists");
-  }
-  rel_indexes_[column].push_back(
-      std::make_unique<RelationalIndex>(std::move(index)));
   return Status::OK();
 }
 
@@ -74,29 +23,12 @@ std::vector<const XmlIndex*> IndexManager::XmlIndexesOn(
   return out;
 }
 
-std::vector<XmlIndex*> IndexManager::AllXmlIndexes() {
+std::vector<XmlIndex*> IndexManager::XmlIndexesOn(const std::string& column) {
   ReaderMutexLock lock(mu_);
   std::vector<XmlIndex*> out;
-  for (auto& [column, list] : xml_indexes_) {
-    for (auto& idx : list) out.push_back(idx.get());
-  }
-  return out;
-}
-
-const RelationalIndex* IndexManager::RelationalIndexOn(
-    const std::string& column) const {
-  ReaderMutexLock lock(mu_);
-  auto it = rel_indexes_.find(column);
-  if (it == rel_indexes_.end() || it->second.empty()) return nullptr;
-  return it->second.front().get();
-}
-
-std::vector<RelationalIndex*> IndexManager::AllRelationalIndexes() {
-  ReaderMutexLock lock(mu_);
-  std::vector<RelationalIndex*> out;
-  for (auto& [column, list] : rel_indexes_) {
-    for (auto& idx : list) out.push_back(idx.get());
-  }
+  auto it = xml_indexes_.find(column);
+  if (it == xml_indexes_.end()) return out;
+  for (const auto& idx : it->second) out.push_back(idx.get());
   return out;
 }
 
@@ -114,21 +46,6 @@ const XmlIndex* IndexManager::FindXmlIndexByName(
     const std::string& name) const {
   ReaderMutexLock lock(mu_);
   return FindXmlIndexByNameLocked(name);
-}
-
-bool IndexManager::HasIndexNamedLocked(const std::string& name) const {
-  if (FindXmlIndexByNameLocked(name) != nullptr) return true;
-  for (const auto& [column, list] : rel_indexes_) {
-    for (const auto& idx : list) {
-      if (idx->name() == name) return true;
-    }
-  }
-  return false;
-}
-
-bool IndexManager::HasIndexNamed(const std::string& name) const {
-  ReaderMutexLock lock(mu_);
-  return HasIndexNamedLocked(name);
 }
 
 }  // namespace xqdb

@@ -9,58 +9,15 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "index/btree.h"
 #include "index/xml_index.h"
 
 namespace xqdb {
 
-/// A classic single-column relational index (for the paper's §3.3
-/// discussion: SQL-side join predicates can only use *relational* indexes).
-/// Keys are the SQL column values rendered to the column's comparison
-/// space: strings (with SQL trailing-blank-insensitive normalization) or
-/// doubles.
+/// Per-table registry of XML value indexes, keyed by the column they
+/// index.
 ///
-/// Thread safety: internally locked like XmlIndex — Insert/Erase take the
-/// writer lock, Lookup* the reader lock. The mutex sits behind a
-/// unique_ptr to keep the type movable (built by value in
-/// Table::CreateRelationalIndex, then moved into the manager).
-class RelationalIndex {
- public:
-  RelationalIndex(std::string name, std::string column, bool numeric)
-      : name_(std::move(name)), column_(std::move(column)), numeric_(numeric),
-        mu_(std::make_unique<SharedMutex>("index.rel",
-                                          LockRank::kRelationalIndex)) {}
-
-  const std::string& name() const { return name_; }
-  const std::string& column() const { return column_; }
-  bool numeric() const { return numeric_; }
-
-  // Bodies in index_manager.cc: headers never acquire locks (XQI003).
-  void InsertString(const std::string& key, uint32_t row);
-  void InsertDouble(double key, uint32_t row);
-  bool EraseString(const std::string& key, uint32_t row);
-  bool EraseDouble(double key, uint32_t row);
-
-  std::vector<uint32_t> LookupString(const std::string& key,
-                                     size_t* scanned) const;
-  std::vector<uint32_t> LookupDouble(double key, size_t* scanned) const;
-
- private:
-  std::string name_;
-  std::string column_;
-  bool numeric_;
-  // Guards the trees (by convention; see XmlIndex for why the GUARDED_BY
-  // annotation is omitted on members locked through a unique_ptr'd mutex).
-  std::unique_ptr<SharedMutex> mu_;
-  BPlusTree<std::string, uint32_t> string_tree_;
-  BPlusTree<double, uint32_t> double_tree_;
-};
-
-/// Per-table registry of XML value indexes and relational indexes, keyed by
-/// the column they index.
-///
-/// Thread safety: the registry maps are guarded by an internal
-/// SharedMutex — Add* are writers, the listing/lookup methods readers. The
+/// Thread safety: the registry map is guarded by an internal
+/// SharedMutex — AddXmlIndex writes, the listing/lookup methods read. The
 /// index objects themselves are pointer-stable (unique_ptr in the map) and
 /// internally locked, so the pointers handed out stay valid and usable
 /// without the registry lock.
@@ -72,34 +29,25 @@ class IndexManager {
 
   Status AddXmlIndex(const std::string& column, XmlIndex index)
       XQDB_EXCLUDES(mu_);
-  Status AddRelationalIndex(const std::string& column, RelationalIndex index)
-      XQDB_EXCLUDES(mu_);
 
   /// All XML indexes on `column` (candidates for eligibility checks).
   std::vector<const XmlIndex*> XmlIndexesOn(const std::string& column) const
       XQDB_EXCLUDES(mu_);
-  /// All XML indexes on the table (for maintenance on insert).
-  std::vector<XmlIndex*> AllXmlIndexes() XQDB_EXCLUDES(mu_);
-
-  const RelationalIndex* RelationalIndexOn(const std::string& column) const
+  /// The same, writable: maintenance of a `column` document on insert and
+  /// vacuum touches these indexes and no other.
+  std::vector<XmlIndex*> XmlIndexesOn(const std::string& column)
       XQDB_EXCLUDES(mu_);
-  std::vector<RelationalIndex*> AllRelationalIndexes() XQDB_EXCLUDES(mu_);
 
   const XmlIndex* FindXmlIndexByName(const std::string& name) const
       XQDB_EXCLUDES(mu_);
-  bool HasIndexNamed(const std::string& name) const XQDB_EXCLUDES(mu_);
 
  private:
   const XmlIndex* FindXmlIndexByNameLocked(const std::string& name) const
-      XQDB_REQUIRES_SHARED(mu_);
-  bool HasIndexNamedLocked(const std::string& name) const
       XQDB_REQUIRES_SHARED(mu_);
 
   mutable SharedMutex mu_{"index.manager", LockRank::kIndexManager};
   std::map<std::string, std::vector<std::unique_ptr<XmlIndex>>> xml_indexes_
       XQDB_GUARDED_BY(mu_);
-  std::map<std::string, std::vector<std::unique_ptr<RelationalIndex>>>
-      rel_indexes_ XQDB_GUARDED_BY(mu_);
 };
 
 }  // namespace xqdb

@@ -12,47 +12,6 @@ namespace xqdb {
 
 namespace {
 
-/// Left-to-right conjunct order (SQL AND short-circuits left to right).
-void SplitConjuncts(const SqlExpr& e, std::vector<const SqlExpr*>* out) {
-  if (e.kind == SqlExprKind::kAnd) {
-    SplitConjuncts(*e.children[0], out);
-    SplitConjuncts(*e.children[1], out);
-    return;
-  }
-  out->push_back(&e);
-}
-
-/// Converts one query axis step to a linear-pattern step. Mirrors the
-/// eligibility extractor's AppendAxisStep, restricted to the shapes the
-/// kernel gather understands. Returns false = conjunct not batchable.
-bool AppendStep(const PathStep& step, bool* pending_skip,
-                std::vector<NormStep>* steps) {
-  if (step.test.kind == NodeTestSpec::Kind::kAnyNode &&
-      step.axis == PathAxis::kDescendantOrSelf) {
-    *pending_skip = true;
-    return true;
-  }
-  if (step.test.kind != NodeTestSpec::Kind::kName) return false;
-  switch (step.axis) {
-    case PathAxis::kChild:
-      steps->push_back(NormStep{
-          *pending_skip, ElementTest(step.test.name)});
-      break;
-    case PathAxis::kDescendant:
-      steps->push_back(NormStep{
-          true, ElementTest(step.test.name)});
-      break;
-    case PathAxis::kAttribute:
-      steps->push_back(NormStep{
-          *pending_skip, AttributeTest(step.test.name)});
-      break;
-    default:
-      return false;
-  }
-  *pending_skip = false;
-  return true;
-}
-
 /// Numeric constant of a comparison operand (literal or negated literal).
 /// The kernel compares doubles; an integer constant converts with the same
 /// AsDouble() promotion CompareAtomic applies to mixed numeric pairs.
@@ -73,8 +32,7 @@ std::optional<double> NumericConstantOf(const Expr& e) {
 /// children/attributes of the predicate's context node, which is what lets
 /// the kernel recover the context grouping from each match's parent link.
 const PathStep* SingleRelativeStep(const Expr& e) {
-  if (e.kind != ExprKind::kPath || e.absolute || e.path_source != nullptr ||
-      e.steps.size() != 1) {
+  if (e.kind != ExprKind::kPath || e.absolute || e.steps.size() != 1) {
     return nullptr;
   }
   const PathStep& s = e.steps[0];
@@ -88,9 +46,7 @@ const PathStep* SingleRelativeStep(const Expr& e) {
 
 /// Tries to compile one XMLEXISTS conjunct into a kernel.
 std::optional<BatchKernel> CompileConjunct(
-    const SqlExpr& e,
-    const std::function<int(const std::string&, const std::string&)>&
-        resolve_slot) {
+    const SqlExpr& e, std::span<const ColumnSlot> schema) {
   if (e.kind != SqlExprKind::kXmlExists || e.xquery == nullptr) {
     return std::nullopt;
   }
@@ -99,8 +55,8 @@ std::optional<BatchKernel> CompileConjunct(
       q.passing[0].value->kind != SqlExprKind::kColumnRef) {
     return std::nullopt;
   }
-  int slot = resolve_slot(q.passing[0].value->qualifier,
-                          q.passing[0].value->column);
+  int slot = FindColumnSlot(schema, q.passing[0].value->qualifier,
+                            q.passing[0].value->column);
   if (slot < 0) return std::nullopt;
   const Expr* body = q.parsed.body.get();
   if (body == nullptr || body->kind != ExprKind::kPath || body->absolute) {
@@ -108,16 +64,11 @@ std::optional<BatchKernel> CompileConjunct(
   }
 
   // Path source: the passed variable, bound to the column's document.
-  const Expr* src = body->path_source.get();
-  size_t first = 0;
-  if (src == nullptr) {
-    if (body->steps.empty() || body->steps[0].is_axis_step) {
-      return std::nullopt;
-    }
-    if (!body->steps[0].predicates.empty()) return std::nullopt;
-    src = body->steps[0].expr.get();
-    first = 1;
+  if (body->steps.empty() || body->steps[0].is_axis_step ||
+      !body->steps[0].predicates.empty()) {
+    return std::nullopt;
   }
+  const Expr* src = body->steps[0].expr.get();
   if (src == nullptr || src->kind != ExprKind::kVarRef ||
       src->var != q.passing[0].var_name) {
     return std::nullopt;
@@ -128,10 +79,12 @@ std::optional<BatchKernel> CompileConjunct(
   std::vector<NormStep> steps;
   bool pending_skip = false;
   const Expr* compare = nullptr;
-  for (size_t i = first; i < body->steps.size(); ++i) {
+  for (size_t i = 1; i < body->steps.size(); ++i) {
     const PathStep& step = body->steps[i];
-    if (!step.is_axis_step) return std::nullopt;
-    if (!AppendStep(step, &pending_skip, &steps)) return std::nullopt;
+    if (!step.is_axis_step || !IsNameOnlyStep(step) ||
+        !AppendNormStep(step, &pending_skip, &steps)) {
+      return std::nullopt;
+    }
     if (step.predicates.empty()) continue;
     const bool is_last = i + 1 == body->steps.size();
     if (!is_last || step.predicates.size() != 1) return std::nullopt;
@@ -164,10 +117,8 @@ std::optional<BatchKernel> CompileConjunct(
       op = FlipCompareOp(compare->cmp_op);
       if (operand == nullptr || !constant.has_value()) return std::nullopt;
     }
-    StepTest t = operand->axis == PathAxis::kAttribute
-                     ? AttributeTest(operand->test.name)
-                     : ElementTest(operand->test.name);
-    steps.push_back(NormStep{false, t});
+    bool operand_skip = false;
+    if (!AppendNormStep(*operand, &operand_skip, &steps)) return std::nullopt;
     kernel.has_compare = true;
     kernel.op = op;
     kernel.literal = *constant;
@@ -299,17 +250,15 @@ uint8_t DecideCompareRow(const BatchKernel& k, const ValueBatch& b, size_t i,
 
 }  // namespace
 
-BatchProgram CompileBatchProgram(
-    const SqlExpr& where,
-    const std::function<int(const std::string& qualifier,
-                            const std::string& column)>& resolve_slot) {
+BatchProgram CompileBatchProgram(const SqlExpr& where,
+                                 std::span<const ColumnSlot> schema) {
   BatchProgram program;
   std::vector<const SqlExpr*> conjuncts;
   SplitConjuncts(where, &conjuncts);
   for (const SqlExpr* conjunct : conjuncts) {
     BatchStep step;
     step.conjunct = conjunct;
-    step.kernel = CompileConjunct(*conjunct, resolve_slot);
+    step.kernel = CompileConjunct(*conjunct, schema);
     if (step.kernel.has_value()) program.any_kernel = true;
     program.steps.push_back(std::move(step));
   }

@@ -2,13 +2,14 @@
 #define XQDB_SQL_BATCH_FILTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "observability/exec_stats.h"
+#include "sql/schema.h"
 #include "sql/sql_ast.h"
 #include "storage/value.h"
 #include "xdm/compare.h"
@@ -58,13 +59,12 @@ struct BatchProgram {
 
 /// Splits `where` into conjuncts and compiles each into a BatchKernel where
 /// the shape provably matches row-at-a-time semantics; all other conjuncts
-/// stay as residual expressions. `resolve_slot` maps a column reference to
-/// its schema slot (negative = unresolvable/ambiguous → not batchable).
-/// Returns a program with any_kernel=false when nothing vectorizes.
-BatchProgram CompileBatchProgram(
-    const SqlExpr& where,
-    const std::function<int(const std::string& qualifier,
-                            const std::string& column)>& resolve_slot);
+/// stay as residual expressions. The passed XML column resolves over
+/// `schema` by FindColumnSlot, so an ambiguous or unresolved reference
+/// stays un-batched and the exact path reports its error. Returns a
+/// program with any_kernel=false when nothing vectorizes.
+BatchProgram CompileBatchProgram(const SqlExpr& where,
+                                 std::span<const ColumnSlot> schema);
 
 /// Per-value gather flags (ValueBatch::flags).
 inline constexpr uint8_t kBatchValueTypedFail = 1u << 0;   // Atomize error

@@ -128,26 +128,19 @@ Result<SqlValue> SqlExecutor::EvalScalar(const SqlExpr& e,
     case SqlExprKind::kLiteral:
       return e.literal;
     case SqlExprKind::kColumnRef: {
-      int found = -1;
-      for (size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name != e.column) continue;
-        if (!e.qualifier.empty() && schema[i].qualifier != e.qualifier) {
-          continue;
-        }
-        if (found >= 0) {
-          return Status::InvalidArgument("ambiguous column reference " +
-                                         e.column);
-        }
-        found = static_cast<int>(i);
+      const int slot = FindColumnSlot(schema, e.qualifier, e.column);
+      if (slot == kColumnAmbiguous) {
+        return Status::InvalidArgument("ambiguous column reference " +
+                                       e.column);
       }
-      if (found < 0) {
+      if (slot == kColumnMissing) {
         return Status::NotFound("column " +
                                 (e.qualifier.empty()
                                      ? e.column
                                      : e.qualifier + "." + e.column) +
                                 " not found");
       }
-      return row[static_cast<size_t>(found)];
+      return row[static_cast<size_t>(slot)];
     }
     case SqlExprKind::kXmlQuery: {
       XQDB_ASSIGN_OR_RETURN(
@@ -356,25 +349,9 @@ Status SqlExecutor::FilterRows(const SqlExpr* where,
   ThreadPool& pool = ThreadPool::Global();
 
   // Compile the WHERE clause's vectorizable conjuncts once per statement.
-  // Slot resolution must agree with EvalScalar's kColumnRef rules:
-  // ambiguous or unresolved references stay un-batched so the exact path
-  // reports the identical error.
   BatchProgram program;
   if (where != nullptr && batch_enabled_ && count > 0) {
-    program = CompileBatchProgram(
-        *where, [&schema](const std::string& qualifier,
-                          const std::string& column) -> int {
-          int found = -1;
-          for (size_t i = 0; i < schema.size(); ++i) {
-            if (schema[i].name != column) continue;
-            if (!qualifier.empty() && schema[i].qualifier != qualifier) {
-              continue;
-            }
-            if (found >= 0) return -1;  // ambiguous
-            found = static_cast<int>(i);
-          }
-          return found;
-        });
+    program = CompileBatchProgram(*where, schema);
   }
   // One chunk: fetch the candidates at [lo, hi) kBatchRows at a time and
   // keep those passing WHERE. Fetching by batch bounds the scratch a chunk
@@ -542,24 +519,8 @@ Status SqlExecutor::Select(const SelectStmt& stmt, const SelectPlan& plan,
                            QueryRuntime* runtime, ExecStats* stats,
                            Selection* out) {
   // The FROM list's schema, and where each item's columns begin in it.
-  std::vector<Table*> tables;
-  std::vector<size_t> width;
-  for (const TableRef& ref : stmt.from) {
-    width.push_back(out->schema.size());
-    if (ref.kind == TableRef::Kind::kBaseTable) {
-      XQDB_ASSIGN_OR_RETURN(Table * table,
-                            catalog_->GetTable(ref.table_name));
-      tables.push_back(table);
-      for (const ColumnDef& col : table->columns()) {
-        out->schema.push_back(ColumnSlot{ref.alias, col.name});
-      }
-    } else {
-      tables.push_back(nullptr);
-      for (const XmlTableColumn& col : ref.columns) {
-        out->schema.push_back(ColumnSlot{ref.alias, col.name});
-      }
-    }
-  }
+  XQDB_ASSIGN_OR_RETURN(FromSchema from, BuildFromSchema(stmt, *catalog_));
+  out->schema = std::move(from.slots);
 
   // Re-verify the plan's static folds against the live path summaries and
   // install the surviving ones. An emptiness proof is only as current as
@@ -593,10 +554,10 @@ Status SqlExecutor::Select(const SelectStmt& stmt, const SelectPlan& plan,
   // nothing — zero rows, zero documents opened.
   if (statically_empty) return Status::OK();
 
-  if (stmt.from.size() == 1 && tables[0] != nullptr) {
+  if (stmt.from.size() == 1 && from.tables[0] != nullptr) {
     // One base table, read in place: the visibility test runs in stage 2's
     // chunks, next to the WHERE.
-    const Table* table = tables[0];
+    const Table* table = from.tables[0];
     AdmittedRows admitted;
     if (!plan.access.empty()) {
       XQDB_ASSIGN_OR_RETURN(admitted,
@@ -633,15 +594,15 @@ Status SqlExecutor::Select(const SelectStmt& stmt, const SelectPlan& plan,
     const TableRef& ref = stmt.from[i];
     const std::vector<ColumnSlot> base_schema(
         out->schema.begin(),
-        out->schema.begin() + static_cast<ptrdiff_t>(width[i]));
+        out->schema.begin() + static_cast<ptrdiff_t>(from.begin[i]));
     // Rows with no columns before this item's: its rows need no prefix and
     // are read in place.
-    const bool in_place = width[i] == 0;
+    const bool in_place = from.begin[i] == 0;
     RowRefs next;
     std::vector<Row> built;
 
     if (ref.kind == TableRef::Kind::kBaseTable) {
-      const Table* table = tables[i];
+      const Table* table = from.tables[i];
       const AccessPath* path =
           i < plan.access.size() ? &plan.access[i] : nullptr;
       const bool per_row_probe =

@@ -12,6 +12,7 @@
 #include "observability/exec_stats.h"
 #include "sql/batch_filter.h"
 #include "sql/plan.h"
+#include "sql/schema.h"
 #include "sql/sql_ast.h"
 #include "storage/catalog.h"
 
@@ -95,10 +96,6 @@ class SqlExecutor {
 
  private:
   using Row = std::vector<SqlValue>;
-  struct ColumnSlot {
-    std::string qualifier;  // table alias
-    std::string name;
-  };
 
   /// The output of the first two stages: the FROM-product rows that pass
   /// WHERE, in order, read in place.

@@ -37,7 +37,8 @@ std::string AccessPathToString(const AccessPath& path) {
       break;
     case AccessPath::Kind::kSummaryExistence:
       out = "PATH SUMMARY EXISTENCE PROBE " + path.summary_path_text +
-            " (strong DataGuide, no document scan)";
+            " (the strong DataGuide admits the documents that hold the "
+            "path; the query evaluates each one)";
       break;
     case AccessPath::Kind::kIndexOnly: {
       const char* agg = "?";

@@ -23,7 +23,7 @@ struct AccessPath {
     kIndexIntersect,  // two probes ANDed (the §3.10 non-between shape)
     kIndexStructural, // unbounded varchar probe: "the path exists"
     kIndexJoinProbe,  // per-outer-row equality probe (Tips 5/6)
-    kSummaryExistence, // path-summary probe: no index, no document scan
+    kSummaryExistence, // path-summary probe: admits the docs holding a path
     kIndexOnly,       // covering aggregate answered from B+Tree entries
   };
 

@@ -34,4 +34,13 @@ std::string SqlExprToString(const SqlExpr& e) {
   return "?";
 }
 
+void SplitConjuncts(const SqlExpr& e, std::vector<const SqlExpr*>* out) {
+  if (e.kind == SqlExprKind::kAnd) {
+    SplitConjuncts(*e.children[0], out);
+    SplitConjuncts(*e.children[1], out);
+    return;
+  }
+  out->push_back(&e);
+}
+
 }  // namespace xqdb

@@ -61,11 +61,10 @@ struct SqlExpr {
   // kLiteral
   SqlValue literal;
 
-  // kColumnRef: "alias.column" or "column"; resolved during binding.
+  // kColumnRef: "alias.column" or "column", resolved by FindColumnSlot
+  // (sql/schema.h).
   std::string qualifier;  // table alias, may be empty
   std::string column;
-  int bound_ref = -1;  // index into the FROM list
-  int bound_col = -1;  // column within that ref's schema
 
   // kCompare
   CompareOp cmp_op = CompareOp::kEq;
@@ -164,6 +163,10 @@ struct SqlStatement {
 
 /// Short description of an SQL scalar expression for EXPLAIN output.
 std::string SqlExprToString(const SqlExpr& e);
+
+/// Appends the top-level AND conjuncts of `e` to `out`, left to right (the
+/// order SQL AND short-circuits in).
+void SplitConjuncts(const SqlExpr& e, std::vector<const SqlExpr*>* out);
 
 }  // namespace xqdb
 

@@ -12,6 +12,7 @@ namespace xqdb {
 ///
 ///   CREATE TABLE t (col TYPE, ...)
 ///   CREATE INDEX i ON t(col) [USING XMLPATTERN '...' AS [SQL] type]
+///                        (without XMLPATTERN: parses, fails Unsupported)
 ///   INSERT INTO t VALUES (lit, ...) [, (lit, ...)]*
 ///   SELECT items FROM refs [WHERE cond]
 ///   VALUES (expr [, expr]*)          -- sugar for a one-row SELECT

@@ -36,11 +36,6 @@ Result<const Table*> Catalog::GetTable(const std::string& name) const {
   return static_cast<const Table*>(it->second.get());
 }
 
-bool Catalog::HasTable(const std::string& name) const {
-  ReaderMutexLock lock(mu_);
-  return tables_.count(ToUpperAscii(name)) > 0;
-}
-
 std::vector<const Table*> Catalog::AllTables() const {
   ReaderMutexLock lock(mu_);
   std::vector<const Table*> out;

@@ -37,7 +37,6 @@ class Catalog : public XmlColumnProvider {
   Result<Table*> GetTable(const std::string& name) XQDB_EXCLUDES(mu_);
   Result<const Table*> GetTable(const std::string& name) const
       XQDB_EXCLUDES(mu_);
-  bool HasTable(const std::string& name) const XQDB_EXCLUDES(mu_);
   std::vector<const Table*> AllTables() const XQDB_EXCLUDES(mu_);
 
   // XmlColumnProvider: resolves against the latest published rows.

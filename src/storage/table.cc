@@ -60,7 +60,7 @@ Result<uint32_t> Table::InsertRow(
       // with the stored documents. Index entries for this still-unpublished
       // row are harmless to concurrent probes: every probe result is
       // post-filtered by VisibleAt, which rejects r >= row_count().
-      for (XmlIndex* idx : indexes_.AllXmlIndexes()) {
+      for (XmlIndex* idx : indexes_.XmlIndexesOn(columns_[i].name)) {
         idx->InsertDocument(row_id, *doc);
       }
       path_summaries_[static_cast<size_t>(slot)].AddDocument(row_id, *doc);
@@ -70,23 +70,6 @@ Result<uint32_t> Table::InsertRow(
       values[i] = SqlValue::Null();
     }
     xml_store_[static_cast<size_t>(slot)].EmplaceBack(std::move(doc));
-  }
-  // Relational index maintenance.
-  for (RelationalIndex* ridx : indexes_.AllRelationalIndexes()) {
-    int col = ColumnIndex(ridx->column());
-    if (col < 0) continue;
-    const SqlValue& v = values[static_cast<size_t>(col)];
-    if (v.is_null()) continue;
-    if (ridx->numeric()) {
-      double key = v.kind() == SqlValue::Kind::kInteger
-                       ? static_cast<double>(v.integer_value())
-                       : v.double_value();
-      ridx->InsertDouble(key, row_id);
-    } else {
-      std::string key = v.varchar_value();
-      while (!key.empty() && key.back() == ' ') key.pop_back();
-      ridx->InsertString(key, row_id);
-    }
   }
   // Publication order matters: documents and values first, meta_ last.
   // meta_.size() is the published row count readers gate on.
@@ -115,33 +98,15 @@ Status Table::DeleteRow(uint32_t r, uint64_t epoch) {
 }
 
 void Table::UnindexRow(uint32_t r) {
-  // XML index + summary maintenance.
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].type != SqlType::kXml) continue;
     const Document* doc = xml_document(r, static_cast<int>(i));
     if (doc == nullptr) continue;
-    for (XmlIndex* idx : indexes_.AllXmlIndexes()) {
+    for (XmlIndex* idx : indexes_.XmlIndexesOn(columns_[i].name)) {
       idx->EraseDocument(r, *doc);
     }
     int slot = xml_slot_of_column_[i];
     path_summaries_[static_cast<size_t>(slot)].RemoveDocument(r, *doc);
-  }
-  // Relational index maintenance.
-  for (RelationalIndex* ridx : indexes_.AllRelationalIndexes()) {
-    int col = ColumnIndex(ridx->column());
-    if (col < 0) continue;
-    const SqlValue& v = rows_[r][static_cast<size_t>(col)];
-    if (v.is_null()) continue;
-    if (ridx->numeric()) {
-      double key = v.kind() == SqlValue::Kind::kInteger
-                       ? static_cast<double>(v.integer_value())
-                       : v.double_value();
-      ridx->EraseDouble(key, r);
-    } else {
-      std::string key = v.varchar_value();
-      while (!key.empty() && key.back() == ' ') key.pop_back();
-      ridx->EraseString(key, r);
-    }
   }
 }
 
@@ -216,42 +181,6 @@ Status Table::CreateXmlIndex(const std::string& index_name,
   }
   idx.BulkBuild(docs);
   return indexes_.AddXmlIndex(column, std::move(idx));
-}
-
-Status Table::CreateRelationalIndex(const std::string& index_name,
-                                    const std::string& column,
-                                    uint64_t keep_deleted_after) {
-  int col = ColumnIndex(column);
-  if (col < 0) {
-    return Status::NotFound("column " + column + " in table " + name_);
-  }
-  SqlType type = columns_[static_cast<size_t>(col)].type;
-  if (type == SqlType::kXml) {
-    return Status::InvalidArgument(
-        "relational index cannot be created on an XML column; use USING "
-        "XMLPATTERN");
-  }
-  bool numeric = type == SqlType::kInteger || type == SqlType::kDouble ||
-                 type == SqlType::kDecimal;
-  RelationalIndex ridx(index_name, column, numeric);
-  size_t n = meta_.size();
-  for (uint32_t r = 0; r < n; ++r) {
-    uint64_t d = meta_[r].delete_epoch.load(std::memory_order_acquire);
-    if (d != kEpochNone && d <= keep_deleted_after) continue;
-    const SqlValue& v = rows_[r][static_cast<size_t>(col)];
-    if (v.is_null()) continue;
-    if (numeric) {
-      double key = v.kind() == SqlValue::Kind::kInteger
-                       ? static_cast<double>(v.integer_value())
-                       : v.double_value();
-      ridx.InsertDouble(key, r);
-    } else {
-      std::string key = v.varchar_value();
-      while (!key.empty() && key.back() == ' ') key.pop_back();
-      ridx.InsertString(key, r);
-    }
-  }
-  return indexes_.AddRelationalIndex(column, std::move(ridx));
 }
 
 }  // namespace xqdb

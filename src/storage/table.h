@@ -19,8 +19,8 @@
 namespace xqdb {
 
 /// An in-memory table with typed columns. XML columns store parsed Document
-/// trees owned by the table; scalar values live inline. All XML indexes on
-/// the table are maintained synchronously on insert (the paper's
+/// trees owned by the table; scalar values live inline. Each XML column's
+/// indexes are maintained synchronously on insert (the paper's
 /// transactional-maintenance model, minus the transactions).
 ///
 /// Concurrency model (the server's snapshot reads): rows live in
@@ -123,12 +123,6 @@ class Table {
                         IndexValueType type,
                         uint64_t keep_deleted_after = kEpochLatest);
 
-  /// Creates a relational index over a scalar column and backfills it
-  /// (same keep_deleted_after contract as CreateXmlIndex).
-  Status CreateRelationalIndex(const std::string& index_name,
-                               const std::string& column,
-                               uint64_t keep_deleted_after = kEpochLatest);
-
  private:
   struct RowMeta {
     explicit RowMeta(uint64_t insert) : insert_epoch(insert) {}
@@ -136,8 +130,8 @@ class Table {
     std::atomic<uint64_t> delete_epoch{kEpochNone};
   };
 
-  /// Removes row r's entries from every XML/relational index and path
-  /// summary (the physical half of a delete).
+  /// Removes row r's entries from every XML index and path summary (the
+  /// physical half of a delete).
   void UnindexRow(uint32_t r);
 
   std::string name_;

@@ -1,6 +1,7 @@
 #include "xquery/ast.h"
 
 #include "xml/qname.h"
+#include "xpath/pattern.h"
 
 namespace xqdb {
 
@@ -55,6 +56,40 @@ const char* AxisName(PathAxis axis) {
       return "ancestor-or-self";
   }
   return "?";
+}
+
+/// Calls `fn` on each expression directly below `e` until it returns
+/// false; returns false iff `fn` stopped it.
+bool ForEachChild(const Expr& e,
+                  const std::function<bool(const Expr&)>& fn) {
+  auto visit = [&](const std::unique_ptr<Expr>& c) {
+    return c == nullptr || fn(*c);
+  };
+  for (const auto& c : e.children) {
+    if (!visit(c)) return false;
+  }
+  for (const PathStep& step : e.steps) {
+    if (!visit(step.expr)) return false;
+    for (const auto& p : step.predicates) {
+      if (!visit(p)) return false;
+    }
+  }
+  for (const FlworClause& clause : e.clauses) {
+    if (!visit(clause.expr)) return false;
+  }
+  if (!visit(e.where)) return false;
+  for (const OrderSpec& spec : e.order_by) {
+    if (!visit(spec.key)) return false;
+  }
+  for (const ConstructorContent& part : e.ctor_content) {
+    if (!visit(part.expr)) return false;
+  }
+  for (const ConstructorAttr& attr : e.ctor_attrs) {
+    for (const ConstructorContent& part : attr.value_parts) {
+      if (!visit(part.expr)) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -154,6 +189,91 @@ std::string ExprToString(const Expr& e) {
       return "(xmlcolumn " + e.table_name + "." + e.column_name + ")";
   }
   return "(?)";
+}
+
+void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
+  fn(e);
+  ForEachChild(e, [&](const Expr& c) {
+    WalkExpr(c, fn);
+    return true;
+  });
+}
+
+bool AnyExpr(const Expr& e, const std::function<bool(const Expr&)>& pred) {
+  return pred(e) ||
+         !ForEachChild(e, [&](const Expr& c) { return !AnyExpr(c, pred); });
+}
+
+bool ReferencesVar(const Expr& e, const std::string& var) {
+  return AnyExpr(e, [&](const Expr& x) {
+    return x.kind == ExprKind::kVarRef && x.var == var;
+  });
+}
+
+bool AppendNormStep(const PathStep& step, bool* pending_skip,
+                    std::vector<NormStep>* steps) {
+  using Kind = NodeTestSpec::Kind;
+  const NodeTestSpec& t = step.test;
+  StepTest test;
+  bool skip = *pending_skip;
+  switch (step.axis) {
+    case PathAxis::kDescendantOrSelf:
+      if (t.kind != Kind::kAnyNode) return false;
+      *pending_skip = true;
+      return true;
+    case PathAxis::kSelf:
+      return t.kind == Kind::kAnyNode && !*pending_skip;
+    case PathAxis::kParent:
+    case PathAxis::kAncestor:
+    case PathAxis::kAncestorOrSelf:
+      // Upward navigation has no linear-pattern form.
+      return false;
+    case PathAxis::kAttribute:
+      if (t.kind == Kind::kName) {
+        test = AttributeTest(t.name);
+      } else if (t.kind == Kind::kAnyNode) {
+        test = AnyAttributeTest();
+      }
+      break;
+    case PathAxis::kDescendant:
+      skip = true;
+      [[fallthrough]];
+    case PathAxis::kChild:
+      switch (t.kind) {
+        case Kind::kName:
+          test = ElementTest(t.name);
+          break;
+        case Kind::kAnyNode:
+          test = ChildNodeTest();
+          break;
+        case Kind::kText:
+          test = KindTextTest();
+          break;
+        case Kind::kComment:
+          test = KindCommentTest();
+          break;
+        case Kind::kPi:
+          test = KindPiTest(t.name.local);
+          break;
+        case Kind::kDocument:
+          break;
+      }
+      break;
+  }
+  if (test.IsEmpty()) return false;
+  steps->push_back(NormStep{skip, test});
+  *pending_skip = false;
+  return true;
+}
+
+bool IsNameOnlyStep(const PathStep& step) {
+  if (step.axis == PathAxis::kDescendantOrSelf) {
+    return step.test.kind == NodeTestSpec::Kind::kAnyNode;
+  }
+  return step.test.kind == NodeTestSpec::Kind::kName &&
+         (step.axis == PathAxis::kChild ||
+          step.axis == PathAxis::kDescendant ||
+          step.axis == PathAxis::kAttribute);
 }
 
 }  // namespace xqdb

@@ -1,6 +1,7 @@
 #ifndef XQDB_XQUERY_AST_H_
 #define XQDB_XQUERY_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 namespace xqdb {
 
 struct Expr;
+struct NormStep;  // xpath/pattern.h
 
 /// A resolved node test in a query path step. Namespaces are resolved at
 /// parse time against the query prolog (default element namespace applies
@@ -142,7 +144,6 @@ struct Expr {
   // kPath
   bool absolute = false;        // leading '/'
   bool absolute_slashslash = false;  // leading '//'
-  std::unique_ptr<Expr> path_source;  // relative paths: the initial expr
   std::vector<PathStep> steps;
 
   // kFlwor
@@ -182,6 +183,37 @@ struct Expr {
 
 /// Debug dump (single line, s-expression style).
 std::string ExprToString(const Expr& e);
+
+/// Pre-order visit of `e` and every expression below it: generic children,
+/// path-step expressions and predicates, FLWOR clauses, where and order-by
+/// keys, constructor content and attribute values. This walk and AnyExpr
+/// share the one enumeration of an Expr's child slots.
+void WalkExpr(const Expr& e, const std::function<void(const Expr&)>& fn);
+
+/// True when `pred` holds for `e` or an expression below it.
+bool AnyExpr(const Expr& e, const std::function<bool(const Expr&)>& pred);
+
+/// True when `e` references $var anywhere below it (rebindings that shadow
+/// the variable are not tracked).
+bool ReferencesVar(const Expr& e, const std::string& var);
+
+/// Appends one axis step to `steps` in the index-pattern algebra
+/// (xpath/pattern.h): the one translation of a query path step that
+/// predicate extraction, static typing, batch kernels and covering
+/// aggregates share. A bare `//` (descendant-or-self::node()) sets
+/// `pending_skip`, which the next consuming step absorbs; self::node() adds
+/// nothing. Returns false when the step has no linear form (upward axes,
+/// document-node(), any other self or descendant-or-self step, a kind test
+/// on the attribute axis, self::node() right after a bare `//`): callers
+/// then give up on the path.
+bool AppendNormStep(const PathStep& step, bool* pending_skip,
+                    std::vector<NormStep>* steps);
+
+/// The step shapes batch kernels and covering aggregates model, checked
+/// before AppendNormStep: a bare `//`, or a name test on the child,
+/// descendant or attribute axis. Their exactness arguments assume untyped
+/// element and attribute values, so kind tests stay out.
+bool IsNameOnlyStep(const PathStep& step);
 
 }  // namespace xqdb
 

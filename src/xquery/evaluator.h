@@ -69,7 +69,6 @@ class Evaluator {
   void BindVariable(const std::string& name, Sequence value) {
     vars_[name] = std::move(value);
   }
-  void ClearVariables() { vars_.clear(); }
 
   /// Evaluates the expression with no initial focus.
   Result<Sequence> Eval(const Expr& e);

@@ -9,6 +9,8 @@
 #include "core/database.h"
 #include "core/eligibility.h"
 #include "core/predicate_extract.h"
+#include "xpath/pattern.h"
+#include "xquery/ast.h"
 #include "xquery/parser.h"
 
 namespace xqdb {
@@ -37,6 +39,123 @@ bool HasNoteContaining(const ExtractionResult& r, const std::string& text) {
     if (note.find(text) != std::string::npos) return true;
   }
   return false;
+}
+
+// ----- The shared step converter (xquery/ast.h) ----------------------------
+
+/// Translates the axis steps of `$d/<steps>` with AppendNormStep, the one
+/// converter extraction, static typing, batch kernels and covering
+/// aggregates share: the pattern text, or why there is none.
+std::string Translate(const std::string& steps) {
+  auto parsed = ParseXQuery("$d/" + steps);
+  EXPECT_TRUE(parsed.ok()) << steps << ": " << parsed.status().ToString();
+  if (!parsed.ok()) return "parse error";
+  const Expr& body = *parsed->body;
+  std::vector<NormStep> out;
+  bool pending_skip = false;
+  for (size_t i = 1; i < body.steps.size(); ++i) {
+    if (!AppendNormStep(body.steps[i], &pending_skip, &out)) {
+      return "no linear form";
+    }
+  }
+  if (pending_skip) return "trailing //";
+  return out.empty() ? "(context)" : PatternToString(MakePattern({out}));
+}
+
+/// The name-only pre-check of batch kernels and covering aggregates on the
+/// last step of `$d/<steps>`.
+bool NameOnly(const std::string& steps) {
+  auto parsed = ParseXQuery("$d/" + steps);
+  EXPECT_TRUE(parsed.ok()) << steps << ": " << parsed.status().ToString();
+  return parsed.ok() && IsNameOnlyStep(parsed->body->steps.back());
+}
+
+TEST(StepConverterTest, ChildAxisByNodeTestKind) {
+  EXPECT_EQ(Translate("child::a"), "/a");
+  EXPECT_EQ(Translate("child::*"), "/*");
+  EXPECT_EQ(Translate("child::node()"), "/node()");
+  EXPECT_EQ(Translate("child::text()"), "/text()");
+  EXPECT_EQ(Translate("child::comment()"), "/comment()");
+  EXPECT_EQ(Translate("child::processing-instruction(t)"),
+            "/processing-instruction(t)");
+  EXPECT_EQ(Translate("child::processing-instruction()"),
+            "/processing-instruction()");
+  EXPECT_EQ(Translate("child::document-node()"), "no linear form");
+}
+
+TEST(StepConverterTest, DescendantAxisByNodeTestKind) {
+  EXPECT_EQ(Translate("descendant::a"), "//a");
+  EXPECT_EQ(Translate("descendant::*"), "//*");
+  EXPECT_EQ(Translate("descendant::node()"), "//node()");
+  EXPECT_EQ(Translate("descendant::text()"), "//text()");
+  EXPECT_EQ(Translate("descendant::comment()"), "//comment()");
+  EXPECT_EQ(Translate("descendant::processing-instruction(t)"),
+            "//processing-instruction(t)");
+  EXPECT_EQ(Translate("descendant::document-node()"), "no linear form");
+}
+
+TEST(StepConverterTest, AttributeAxisByNodeTestKind) {
+  EXPECT_EQ(Translate("attribute::a"), "/@a");
+  EXPECT_EQ(Translate("@*"), "/@*");
+  EXPECT_EQ(Translate("attribute::node()"), "/@*");
+  EXPECT_EQ(Translate("attribute::text()"), "no linear form");
+  EXPECT_EQ(Translate("attribute::comment()"), "no linear form");
+  EXPECT_EQ(Translate("attribute::processing-instruction(t)"),
+            "no linear form");
+  EXPECT_EQ(Translate("attribute::document-node()"), "no linear form");
+}
+
+TEST(StepConverterTest, DescendantOrSelfOnlyAsBareSlashSlash) {
+  // `//` is descendant-or-self::node(); the next consuming step absorbs it.
+  EXPECT_EQ(Translate("a//b"), "/a//b");
+  EXPECT_EQ(Translate("a//@b"), "/a//@b");
+  EXPECT_EQ(Translate("descendant-or-self::node()/text()"), "//text()");
+  EXPECT_EQ(Translate("a//descendant::b"), "/a//b");
+  EXPECT_EQ(Translate("descendant-or-self::a"), "no linear form");
+  EXPECT_EQ(Translate("descendant-or-self::text()"), "no linear form");
+}
+
+TEST(StepConverterTest, TrailingSlashSlashIsLeftPending) {
+  EXPECT_EQ(Translate("a/descendant-or-self::node()"), "trailing //");
+  EXPECT_EQ(Translate("descendant-or-self::node()"), "trailing //");
+}
+
+TEST(StepConverterTest, SelfNodeIsANoOpExceptAfterSlashSlash) {
+  EXPECT_EQ(Translate("a/self::node()"), "/a");
+  EXPECT_EQ(Translate("self::node()"), "(context)");
+  EXPECT_EQ(Translate("a/self::node()/b"), "/a/b");
+  EXPECT_EQ(Translate("a//self::node()"), "no linear form");
+  EXPECT_EQ(Translate("a/self::a"), "no linear form");
+  EXPECT_EQ(Translate("a/self::text()"), "no linear form");
+}
+
+TEST(StepConverterTest, UpwardAxesHaveNoLinearForm) {
+  EXPECT_EQ(Translate("a/parent::node()"), "no linear form");
+  EXPECT_EQ(Translate("a/.."), "no linear form");
+  EXPECT_EQ(Translate("a/ancestor::b"), "no linear form");
+  EXPECT_EQ(Translate("a/ancestor-or-self::b"), "no linear form");
+}
+
+TEST(StepConverterTest, NameOnlyPreCheck) {
+  // Batch kernels and covering aggregates accept name tests on the child,
+  // descendant and attribute axes plus a bare `//`, nothing else.
+  EXPECT_TRUE(NameOnly("a"));
+  EXPECT_TRUE(NameOnly("*"));
+  EXPECT_TRUE(NameOnly("descendant::a"));
+  EXPECT_TRUE(NameOnly("@a"));
+  EXPECT_TRUE(NameOnly("@*"));
+  EXPECT_TRUE(NameOnly("descendant-or-self::node()"));
+  EXPECT_FALSE(NameOnly("node()"));
+  EXPECT_FALSE(NameOnly("text()"));
+  EXPECT_FALSE(NameOnly("comment()"));
+  EXPECT_FALSE(NameOnly("processing-instruction(t)"));
+  EXPECT_FALSE(NameOnly("attribute::node()"));
+  EXPECT_FALSE(NameOnly("descendant::text()"));
+  EXPECT_FALSE(NameOnly("descendant-or-self::a"));
+  EXPECT_FALSE(NameOnly("self::node()"));
+  EXPECT_FALSE(NameOnly("self::a"));
+  EXPECT_FALSE(NameOnly("parent::node()"));
+  EXPECT_FALSE(NameOnly("ancestor::a"));
 }
 
 TEST(ExtractTest, Query1PredicateFound) {

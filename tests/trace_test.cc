@@ -64,7 +64,7 @@ TEST_F(TraceFixture, IneligiblePredicateFallsBackToSummaryProbe) {
   // '!=' is ineligible on a DOUBLE index (it selects NaN and uncastable
   // values the index omits) — but the *structural* part of the predicate
   // (the path must exist) is still document-eliminating, and the path
-  // summary answers it without opening a document. Here every document
+  // summary admits the documents that hold the path. Here every document
   // contains the path, so the pre-filter is vacuous (all rows admitted)
   // yet no document is visited blind and no B-tree is touched.
   auto xr = db_.ExecuteXQuery(
@@ -77,6 +77,41 @@ TEST_F(TraceFixture, IneligiblePredicateFallsBackToSummaryProbe) {
   EXPECT_EQ(xr->stats.index_entries_probed, 0);
   EXPECT_NE(xr->plan.find("PATH SUMMARY EXISTENCE PROBE"), std::string::npos)
       << xr->plan;
+}
+
+TEST(TraceSummaryProbe, ValuePredicateNarrationAdmitsThenEvaluates) {
+  // With no index, a value predicate runs behind a path-summary probe: the
+  // DataGuide admits every document that holds the path and the query
+  // evaluates each one. EXPLAIN ANALYZE says so, and the counters agree
+  // (every order admitted, none scanned blind). The XQL015 note is for
+  // structural predicates only, which the probe answers by itself.
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteSql("CREATE TABLE orders (ordid INTEGER, orddoc XML)").ok());
+  for (int i = 1; i <= kCollectionSize; ++i) {
+    ASSERT_TRUE(db.ExecuteSql("INSERT INTO orders VALUES (" +
+                              std::to_string(i) +
+                              ", '<order><lineitem price=\"" +
+                              std::to_string(i * 100) + "\"/></order>')")
+                    .ok());
+  }
+  auto text = db.ExplainAnalyzeXQuery(
+      "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 950]");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  const std::string plan_line =
+      "  ORDERS.ORDDOC: PATH SUMMARY EXISTENCE PROBE "
+      "//order/lineitem/@price (the strong DataGuide admits the documents "
+      "that hold the path; the query evaluates each one)  -- path-summary "
+      "existence probe for //order/lineitem/@price > 950 (xs:double "
+      "comparison) (no eligible index)\n";
+  EXPECT_EQ(text->substr(0, plan_line.size()), plan_line) << *text;
+  EXPECT_NE(text->find("\n    rows_scanned = 10\n"), std::string::npos)
+      << *text;
+  EXPECT_NE(text->find("\n    index_docs_returned = 10\n"),
+            std::string::npos)
+      << *text;
+  EXPECT_EQ(text->find("\n    docs_scanned ="), std::string::npos) << *text;
+  EXPECT_EQ(text->find("note: [XQL015]"), std::string::npos) << *text;
 }
 
 TEST_F(TraceFixture, ForcedScanReportsCollectionScan) {

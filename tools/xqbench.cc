@@ -819,7 +819,7 @@ long long OrderIndexEntries(Database* db) {
   auto table = db->catalog().GetTable("ORDERS");
   long long entries = 0;
   if (table.ok()) {
-    for (const XmlIndex* idx : (*table)->indexes().AllXmlIndexes()) {
+    for (const XmlIndex* idx : (*table)->indexes().XmlIndexesOn("ORDDOC")) {
       entries += static_cast<long long>(idx->entry_count());
     }
   }

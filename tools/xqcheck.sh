@@ -19,7 +19,7 @@
 #   deadlock   -DXQDB_DEADLOCK=ON build + the `deadlock` ctest label
 #              (rank-table pins, detector death tests, the server-session
 #              deadlock hammer), the xqinvariant sweep over src/ and
-#              tools/ (XQI001-005 must report zero findings), and the
+#              tools/ (XQI001-006 must report zero findings), and the
 #              release no-op check: a detector-off build of xqdb_common
 #              must contain no `lockorder` symbol (nm sweep)
 #

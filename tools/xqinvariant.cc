@@ -22,6 +22,10 @@
 //   XQI005  getenv outside the checked accessors in common/str_util.cc
 //           (ParseEnvInt / GetEnvRaw) — every knob read goes through the
 //           funnel that warns on garbage instead of mis-parsing it
+//   XQI006  a NormStep built outside xpath/pattern.cc (the index-pattern
+//           parser) and xquery/ast.cc (AppendNormStep, the one translation
+//           of query path steps) — a new copy of the step translation
+//           drifts from the other users of Definition 1's algebra
 //
 // Usage: xqinvariant [--json] DIR...
 // Exit status: 0 = clean, 1 = findings, 2 = usage/IO error.
@@ -155,6 +159,35 @@ bool IsEnvFunnel(const std::string& path) {
   return EndsWith(path, "common/str_util.cc");
 }
 
+/// The two files allowed to construct NormStep values (XQI006).
+bool IsNormStepHome(const std::string& path) {
+  return EndsWith(path, "xpath/pattern.cc") || EndsWith(path, "xquery/ast.cc");
+}
+
+/// XQI006: the line builds a NormStep — a braced or parenthesized
+/// construction, or a declaration of a NormStep value. References,
+/// pointers, template arguments and the struct's own declaration do not
+/// match.
+bool BuildsNormStep(const std::string& line) {
+  static const char kName[] = "NormStep";
+  const size_t len = sizeof(kName) - 1;
+  size_t pos = 0;
+  while ((pos = line.find(kName, pos)) != std::string::npos) {
+    const size_t begin = pos;
+    pos += len;
+    if ((begin > 0 && IsIdentChar(line[begin - 1])) ||
+        (pos < line.size() && IsIdentChar(line[pos]))) {
+      continue;
+    }
+    if (begin >= 7 && line.compare(begin - 7, 7, "struct ") == 0) continue;
+    const size_t next = line.find_first_not_of(' ', pos);
+    if (next == std::string::npos) continue;
+    const char c = line[next];
+    if (c == '{' || c == '(' || IsIdentChar(c)) return true;
+  }
+  return false;
+}
+
 /// XQI004's hook-shaped identifiers: lowercase names ending in (or equal
 /// to) hook/sink/callback/cb, immediately invoked. CamelCase methods
 /// (TestSink(), SetEnvParseWarnHook(...)) deliberately do not match.
@@ -212,6 +245,7 @@ void ScanFile(const std::string& path, std::vector<Finding>* findings) {
   const bool is_header = IsHeaderFile(path);
   const bool is_wrapper = IsMutexWrapperHeader(path);
   const bool is_env_funnel = IsEnvFunnel(path);
+  const bool is_norm_step_home = IsNormStepHome(path);
 
   // XQI004 state: active scoped-lock frames in this file, tracked by brace
   // depth. Conservative per-file scan — a callback invoked by a function
@@ -229,8 +263,8 @@ void ScanFile(const std::string& path, std::vector<Finding>* findings) {
   for (size_t idx = 0; idx < all_lines.size(); ++idx) {
     const std::string& line = all_lines[idx];
     const int lineno = static_cast<int>(idx) + 1;
-    // Constructor calls wrap: the rank argument may sit on the next line
-    // or two ("index.rel" does). The XQI002 check looks in this window.
+    // Constructor calls may wrap, leaving the rank argument on the next
+    // line or two; the XQI002 check looks in this window.
     std::string decl_window = line;
     for (size_t k = idx + 1; k < all_lines.size() && k <= idx + 2; ++k) {
       decl_window += ' ';
@@ -376,6 +410,14 @@ void ScanFile(const std::string& path, std::vector<Finding>* findings) {
            "getenv outside common/str_util.cc; use ParseEnvInt (integer "
            "knobs) or GetEnvRaw (string knobs)"});
     }
+
+    // ---- XQI006: a NormStep constructed outside pattern.cc and ast.cc.
+    if (!is_norm_step_home && BuildsNormStep(line)) {
+      findings->push_back(
+          {"XQI006", path, lineno,
+           "NormStep built outside xpath/pattern.cc and xquery/ast.cc; "
+           "translate query path steps with AppendNormStep"});
+    }
   }
 }
 
@@ -427,7 +469,7 @@ int main(int argc, char** argv) {
                    "usage: xqinvariant [--json] DIR|FILE...\n"
                    "codes: XQI001 raw mutex, XQI002 unranked Mutex, "
                    "XQI003 lock in header, XQI004 callback under lock, "
-                   "XQI005 raw getenv\n");
+                   "XQI005 raw getenv, XQI006 NormStep off the converter\n");
       return 0;
     } else {
       roots.push_back(arg);
