@@ -230,8 +230,8 @@ void ExplainEligibility(const ExtractionResult& extraction, const Source& src,
 
 /// XQL015: a purely structural '//' predicate over a summarized collection
 /// is answerable from the strong DataGuide without opening a document — the
-/// planner plans exactly this as a PATH SUMMARY EXISTENCE PROBE when no
-/// index is eligible, and this note names the same code on the same query.
+/// planner probes it as a PATH SUMMARY EXISTENCE PROBE whether or not a
+/// VARCHAR index is eligible for it, and this note names the same code.
 void NoteSummaryAnswerable(const ExtractionResult& extraction,
                            const Source& src, const XqContext& ctx,
                            LintReport* report) {

@@ -233,9 +233,9 @@ Result<ResultSet> Database::ExecuteSqlInternal(const std::string& sql,
     }
     case SqlStatement::Kind::kDelete: {
       // Planned before the write ticket, like any SELECT: a plan stays
-      // valid across DML (its static proofs and containment claims are
-      // re-verified at execution), so the ticket covers only the victims'
-      // selection and their tombstones.
+      // valid across DML (its static proofs are re-verified and its
+      // DataGuide probes run at execution), so the ticket covers only the
+      // victims' selection and their tombstones.
       auto plan = plan_select(*stmt.select);
       if (!plan.ok()) {
         rs = plan.status();
@@ -395,12 +395,11 @@ Result<Database::XQueryResult> Database::RunXQuery(const ParsedQuery& parsed,
     // B+Tree entries — zero documents materialized. The plan proved the
     // index entry set equals the query match set in the pattern language
     // (containment both ways); what it could NOT prove statically is the
-    // data-dependent residue, so re-verify here, exactly like the
-    // summary-containment gate of ProbeAccessPath: any tolerantly skipped
-    // uncastable or NaN node means the entries under-count the match set,
-    // and we demote to the collection scan. disable_batch gates this path
-    // too, so the xqdiff row-at-a-time oracle exercises the evaluator
-    // instead.
+    // data-dependent residue, so re-verify here, like the static-empty
+    // witnesses above: any tolerantly skipped uncastable or NaN node means
+    // the entries under-count the match set, and we demote to the
+    // collection scan. disable_batch gates this path too, so the xqdiff
+    // row-at-a-time oracle exercises the evaluator instead.
     bool covering = !options.disable_batch && plan.access.index != nullptr &&
                     plan.access.index->cast_skip_count() == 0;
     ProbeStats pstats;

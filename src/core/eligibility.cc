@@ -107,33 +107,16 @@ void OpToBounds(CompareOp op, const AtomicValue& constant, ProbeBound* lo,
 }  // namespace
 
 EligibilityVerdict CheckEligibility(const XmlIndex& index,
-                                    const ExtractedPredicate& pred,
-                                    const PathSummary* summary) {
+                                    const ExtractedPredicate& pred) {
   EligibilityVerdict verdict;
   auto contains = PatternContains(index.pattern(), pred.path);
-  bool contained = contains.ok() && contains.value();
-  if (!contained && summary != nullptr && !pred.has_value) {
-    // Static containment failed, but Definition 1 only needs the index to
-    // contain every *stored* node the query path reaches. The path summary
-    // knows the collection's exact path set: if each stored path matched
-    // by the query is inside the index pattern, the index is eligible on
-    // this data. Restricted to structural predicates so the only plan kind
-    // that must re-verify the claim at run time is the structural probe.
-    auto query_nfa = PatternNfa::Compile(pred.path);
-    auto index_nfa = PatternNfa::Compile(index.pattern());
-    if (query_nfa.ok() && index_nfa.ok() &&
-        summary->MatchedPathsCoveredBy(*query_nfa, *index_nfa)) {
-      contained = true;
-      verdict.summary_dependent = true;
-    }
-  }
-  if (!contains.ok() && !contained) {
+  if (!contains.ok()) {
     verdict.code = DiagCode::kXQL101_PatternMismatch;
     verdict.reason = "containment check failed: " +
                      contains.status().ToString();
     return verdict;
   }
-  if (!contained) {
+  if (!contains.value()) {
     verdict.code = DiagCode::kXQL101_PatternMismatch;
     verdict.reason =
         "index pattern '" + index.pattern().source_text +
@@ -145,15 +128,9 @@ EligibilityVerdict CheckEligibility(const XmlIndex& index,
     return verdict;
   }
   verdict.eligible = true;
-  verdict.reason =
-      verdict.summary_dependent
-          ? "path summary shows every stored path matched by " +
-                pred.path_text + " lies inside '" +
-                index.pattern().source_text +
-                "' (data-dependent containment, re-verified at execution)"
-          : "pattern contains " + pred.path_text + "; " +
-                std::string(IndexValueTypeName(index.type())) +
-                " index matches the comparison type";
+  verdict.reason = "pattern contains " + pred.path_text + "; " +
+                   std::string(IndexValueTypeName(index.type())) +
+                   " index matches the comparison type";
   return verdict;
 }
 
@@ -176,24 +153,26 @@ void DedupNotes(std::vector<std::string>* notes) {
 /// exactly the documents holding the path; the residual query then
 /// evaluates each admitted document. Works with zero indexes defined and
 /// — because the summary is maintained transactionally with DML — is
-/// consulted at execution time, so cached plans never go stale. Returns
-/// false if no extracted predicate's path compiles to an automaton.
+/// consulted at execution time, so cached plans never go stale. Probes
+/// `indexed` first: a structural predicate some VARCHAR index is eligible
+/// for, whose holders the DataGuide admits exactly (the index would admit
+/// every holder of its own, possibly wider, pattern). Returns false if no
+/// extracted predicate's path compiles to an automaton.
 bool TrySummaryExistence(const ExtractionResult& extraction,
-                         const PathSummary* summary,
-                         const std::string& table, const std::string& column,
+                         const PathSummary* summary, const std::string& column,
+                         const ExtractedPredicate* indexed,
                          AccessPath* path) {
   if (summary == nullptr) return false;
-  for (const ExtractedPredicate& pred : extraction.predicates) {
+  auto probe = [&](const ExtractedPredicate& pred) {
     auto nfa = PatternNfa::Compile(pred.path);
-    if (!nfa.ok()) continue;
+    if (!nfa.ok()) return false;
     path->kind = AccessPath::Kind::kSummaryExistence;
     path->summary_nfa =
         std::make_shared<const PatternNfa>(*std::move(nfa));
-    path->summary_table = table;
     path->summary_column = column;
     path->summary_path_text = pred.path_text;
     path->summary = "path-summary existence probe for " + pred.description +
-                    " (no eligible index)";
+                    (indexed == nullptr ? " (no eligible index)" : "");
     // Only a structural predicate is answered by the probe itself (the
     // rule xqlint's XQL015 applies); a value comparison still reads every
     // admitted document.
@@ -205,6 +184,10 @@ bool TrySummaryExistence(const ExtractionResult& extraction,
           "DataGuide admits exactly the documents that hold it");
     }
     return true;
+  };
+  if (indexed != nullptr && probe(*indexed)) return true;
+  for (const ExtractedPredicate& pred : extraction.predicates) {
+    if (probe(pred)) return true;
   }
   return false;
 }
@@ -212,7 +195,6 @@ bool TrySummaryExistence(const ExtractionResult& extraction,
 AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
                                 const ExtractionResult& extraction,
                                 const PathSummary* summary,
-                                const std::string& table,
                                 const std::string& column) {
   AccessPath path;
   path.notes = extraction.notes;
@@ -222,7 +204,7 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
     return path;
   }
   if (indexes.empty()) {
-    if (TrySummaryExistence(extraction, summary, table, column, &path)) {
+    if (TrySummaryExistence(extraction, summary, column, nullptr, &path)) {
       return path;
     }
     path.summary = "no XML indexes defined on this column";
@@ -232,36 +214,29 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
   struct Choice {
     const XmlIndex* index;
     const ExtractedPredicate* pred;
-    bool summary_dependent;
   };
   std::vector<Choice> value_choices;
-  std::vector<Choice> structural_choices;
+  // The first structural predicate with an eligible index: the DataGuide
+  // probe below answers it, so the index itself is never read.
+  const ExtractedPredicate* indexed_structural = nullptr;
 
   for (const ExtractedPredicate& pred : extraction.predicates) {
-    bool matched = false;
     for (const XmlIndex* index : indexes) {
-      EligibilityVerdict verdict = CheckEligibility(*index, pred, summary);
+      EligibilityVerdict verdict = CheckEligibility(*index, pred);
       if (verdict.eligible) {
-        matched = true;
         if (pred.has_value) {
-          value_choices.push_back(
-              Choice{index, &pred, verdict.summary_dependent});
-        } else {
-          structural_choices.push_back(
-              Choice{index, &pred, verdict.summary_dependent});
+          value_choices.push_back(Choice{index, &pred});
+        } else if (indexed_structural == nullptr) {
+          indexed_structural = &pred;
         }
         path.notes.push_back("eligible: " + index->name() + " for " +
-                             pred.description +
-                             (verdict.summary_dependent
-                                  ? " — " + verdict.reason
-                                  : std::string()));
+                             pred.description);
         break;
       }
       path.notes.push_back(DiagTag(verdict.code) + "ineligible: " +
                            index->name() + " for " + pred.description +
                            " — " + verdict.reason);
     }
-    (void)matched;
   }
 
   // Cost model (in the spirit of the paper's reference [2], cost-based
@@ -339,7 +314,7 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
     return path;
   }
   // Equality join candidates: probe the index once per outer row (Tips
-  // 5/6). Preferred over a structural scan — an equality probe touches
+  // 5/6). Preferred over the existence probe — an equality probe touches
   // only matching entries.
   for (const JoinCandidate& join : extraction.joins) {
     // Only candidates the planner validated (source set: the outer side is
@@ -370,34 +345,8 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
       return path;
     }
   }
-  if (!structural_choices.empty()) {
-    const Choice& choice = structural_choices[0];
-    path.kind = AccessPath::Kind::kIndexStructural;
-    path.index = choice.index;
-    path.summary = "structural index scan on " + path.index->name() +
-                   " (full value range, path existence only)";
-    if (choice.summary_dependent) {
-      // The eligibility claim is only as good as the collection's current
-      // path set: ship both automata so the executor can re-verify the
-      // coverage against the live summary and fall back to a scan when a
-      // later insert introduced a path the index misses.
-      auto query_nfa = PatternNfa::Compile(choice.pred->path);
-      auto index_nfa = PatternNfa::Compile(choice.index->pattern());
-      if (query_nfa.ok() && index_nfa.ok()) {
-        path.summary_containment = true;
-        path.summary_nfa =
-            std::make_shared<const PatternNfa>(*std::move(query_nfa));
-        path.containment_nfa =
-            std::make_shared<const PatternNfa>(*std::move(index_nfa));
-        path.summary_table = table;
-        path.summary_column = column;
-        path.summary_path_text = choice.pred->path_text;
-        path.summary += " — eligibility via summary-derived containment";
-      }
-    }
-    return path;
-  }
-  if (TrySummaryExistence(extraction, summary, table, column, &path)) {
+  if (TrySummaryExistence(extraction, summary, column, indexed_structural,
+                          &path)) {
     return path;
   }
   path.summary = "predicates found but no eligible index";
@@ -407,10 +356,8 @@ AccessPath ChooseAccessPathImpl(const std::vector<const XmlIndex*>& indexes,
 AccessPath ChooseAccessPath(const std::vector<const XmlIndex*>& indexes,
                             const ExtractionResult& extraction,
                             const PathSummary* summary,
-                            const std::string& table,
                             const std::string& column) {
-  AccessPath path =
-      ChooseAccessPathImpl(indexes, extraction, summary, table, column);
+  AccessPath path = ChooseAccessPathImpl(indexes, extraction, summary, column);
   DedupNotes(&path.notes);
   return path;
 }

@@ -20,15 +20,12 @@ namespace xqdb {
 /// the same clause for the same rejection.
 struct EligibilityVerdict {
   bool eligible = false;
-  /// Containment came from the collection's path summary, not the pattern
-  /// algebra: the verdict holds for the *current* path set only and must be
-  /// re-verified at execution time (DML can grow the path set).
-  bool summary_dependent = false;
   DiagCode code = DiagCode::kNone;
   std::string reason;
 };
 
-/// Checks whether `index` can answer `pred`:
+/// Checks whether `index` can answer `pred` — the one static verdict the
+/// planner and xqlint both call:
 ///  1. Structural containment — every node the query path can match must be
 ///     in the index (PatternContains; covers §3.7 namespaces, §3.8 text()
 ///     alignment, §3.9 attribute axes).
@@ -38,28 +35,22 @@ struct EligibilityVerdict {
 ///     index lacks the non-numeric values); temporal comparisons need the
 ///     matching temporal index. Structural predicates need a varchar index
 ///     (only it contains *all* matching nodes by definition, §2.2).
-///
-/// When `summary` is non-null and *static* containment fails for a purely
-/// structural predicate, the check retries with data-dependent containment:
-/// if every stored path the query matches is inside the index pattern on
-/// the current collection, the index is eligible with
-/// summary_dependent = true (callers re-verify at execution time).
 EligibilityVerdict CheckEligibility(const XmlIndex& index,
-                                    const ExtractedPredicate& pred,
-                                    const PathSummary* summary = nullptr);
+                                    const ExtractedPredicate& pred);
 
 /// Chooses an access path for one table's XML column given its candidate
-/// indexes and the extraction result: prefers a merged-between range, then a
-/// single value-predicate range, then ANDing two value probes (§3.10), then
-/// a structural probe, then — when a path summary is available — a
-/// summary-existence probe that answers "which rows contain this path" from
-/// the DataGuide with zero documents scanned, else full scan. The
-/// summary/notes narrate every considered index, eligible or not.
-/// `table`/`column` name the summary the executor must consult.
+/// indexes and the extraction result: prefers a merged-between range, then
+/// ANDing two value probes (§3.10), then a single value-predicate range,
+/// then an equality join probe, then — when `summary` (the path summary of
+/// `column`) is available — a summary-existence probe that answers "which
+/// rows contain this path" from the DataGuide with zero documents scanned,
+/// else full scan. A structural predicate is always answered by the
+/// DataGuide, which admits exactly its holders; an eligible VARCHAR index
+/// is named in the notes but not read. The summary/notes narrate every
+/// considered index, eligible or not.
 AccessPath ChooseAccessPath(const std::vector<const XmlIndex*>& indexes,
                             const ExtractionResult& extraction,
                             const PathSummary* summary = nullptr,
-                            const std::string& table = {},
                             const std::string& column = {});
 
 /// Covering (index-only) eligibility: true iff the index's entry set is

@@ -1,6 +1,5 @@
 #include "core/planner.h"
 
-#include <algorithm>
 #include <set>
 
 #include "core/eligibility.h"
@@ -302,17 +301,7 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) const {
     }
     const PathSummary* summary =
         used_column.empty() ? nullptr : table->path_summary(used_column);
-    AccessPath chosen = ChooseAccessPath(candidate_indexes, merged, summary,
-                                         ref.table_name, used_column);
-    chosen.notes.insert(chosen.notes.begin(),
-                        std::make_move_iterator(merged.notes.begin()),
-                        std::make_move_iterator(merged.notes.end()));
-    // ChooseAccessPath already copied extraction.notes; remove duplicates.
-    std::sort(chosen.notes.begin(), chosen.notes.end());
-    chosen.notes.erase(
-        std::unique(chosen.notes.begin(), chosen.notes.end()),
-        chosen.notes.end());
-    access = std::move(chosen);
+    access = ChooseAccessPath(candidate_indexes, merged, summary, used_column);
   }
   return plan;
 }
@@ -377,8 +366,8 @@ Result<XQueryPlan> Planner::PlanXQuery(const Expr& body) const {
         ExtractPredicates(body, table_name, column, {});
     std::vector<const XmlIndex*> indexes =
         table->indexes().XmlIndexesOn(column);
-    AccessPath access = ChooseAccessPath(
-        indexes, extraction, table->path_summary(column), table_name, column);
+    AccessPath access = ChooseAccessPath(indexes, extraction,
+                                         table->path_summary(column), column);
     if (access.kind != AccessPath::Kind::kFullScan) {
       plan.use_index = true;
       plan.table = table_name;

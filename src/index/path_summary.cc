@@ -1,7 +1,7 @@
 #include "index/path_summary.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
 
 #include "xml/qname.h"
 
@@ -86,13 +86,9 @@ void PathSummary::RemoveDocument(uint32_t row, const Document& doc) {
   }
 }
 
-std::vector<uint32_t> PathSummary::MatchRows(const PatternNfa& nfa,
-                                             MatchStats* stats) const {
-  ReaderMutexLock lock(mu_);
-  std::set<uint32_t> rows;
-  if (nfa.matches_document_node()) {
-    for (const auto& [row, n] : doc_rows_) rows.insert(row);
-  }
+template <typename Visit>
+void PathSummary::ForEachAccepted(const PatternNfa& nfa, MatchStats* stats,
+                                  const Visit& visit) const {
   // Iterative product traversal of (trie, automaton). The trie is as deep
   // as the deepest stored document, so an explicit stack is mandatory for
   // the same reason the Pattern-NFA document scan uses one.
@@ -116,42 +112,48 @@ std::vector<uint32_t> PathSummary::MatchRows(const PatternNfa& nfa,
       if (stats != nullptr) ++stats->pruned_paths;
       continue;
     }
-    if (nfa.AnyAccept(next)) {
-      for (const auto& [row, n] : child->rows) rows.insert(row);
-    }
+    if (nfa.AnyAccept(next) && !visit(*child)) return;
     stack.push_back(Frame{child, 0, next});
   }
-  return {rows.begin(), rows.end()};
+}
+
+std::vector<uint32_t> PathSummary::MatchRows(const PatternNfa& nfa,
+                                             MatchStats* stats) const {
+  ReaderMutexLock lock(mu_);
+  std::vector<uint32_t> rows;
+  if (doc_rows_.empty()) return rows;
+  if (nfa.matches_document_node()) {
+    for (const auto& [row, n] : doc_rows_) rows.push_back(row);
+    return rows;
+  }
+  // Accepted trie nodes overlap in rows (a row holds many matching paths),
+  // so union them in a bitmap over row ids, then read it out ascending.
+  std::vector<uint64_t> bits(doc_rows_.rbegin()->first / 64 + 1);
+  ForEachAccepted(nfa, stats, [&](const TrieNode& node) {
+    for (const auto& [row, n] : node.rows) {
+      if (row / 64 >= bits.size()) bits.resize(row / 64 + 1);
+      bits[row / 64] |= uint64_t{1} << (row % 64);
+    }
+    return true;
+  });
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      rows.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+    }
+  }
+  return rows;
 }
 
 bool PathSummary::AnyPathMatches(const PatternNfa& nfa,
                                  MatchStats* stats) const {
   ReaderMutexLock lock(mu_);
   if (nfa.matches_document_node() && !doc_rows_.empty()) return true;
-  struct Frame {
-    const TrieNode* node;
-    size_t next_child;
-    PatternNfa::StateSet states;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{&root_, 0, nfa.start_set()});
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (f.next_child >= f.node->children.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const TrieNode* child = f.node->children[f.next_child++].get();
-    if (child->rows.empty()) continue;
-    PatternNfa::StateSet next = nfa.Advance(f.states, child->sym);
-    if (next == 0) {
-      if (stats != nullptr) ++stats->pruned_paths;
-      continue;
-    }
-    if (nfa.AnyAccept(next)) return true;
-    stack.push_back(Frame{child, 0, next});
-  }
-  return false;
+  bool any = false;
+  ForEachAccepted(nfa, stats, [&](const TrieNode&) {
+    any = true;
+    return false;
+  });
+  return any;
 }
 
 namespace {
@@ -235,41 +237,6 @@ std::string PathSummary::NearestLivePath(const std::string& target,
     stack.push_back(Frame{child, 0, std::move(path)});
   }
   return best_dist <= cap ? best : std::string();
-}
-
-bool PathSummary::MatchedPathsCoveredBy(const PatternNfa& query,
-                                        const PatternNfa& cover) const {
-  ReaderMutexLock lock(mu_);
-  if (query.matches_document_node() && !doc_rows_.empty() &&
-      !cover.matches_document_node()) {
-    return false;
-  }
-  struct Frame {
-    const TrieNode* node;
-    size_t next_child;
-    PatternNfa::StateSet query_states;
-    PatternNfa::StateSet cover_states;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{&root_, 0, query.start_set(), cover.start_set()});
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (f.next_child >= f.node->children.size()) {
-      stack.pop_back();
-      continue;
-    }
-    const TrieNode* child = f.node->children[f.next_child++].get();
-    if (child->rows.empty()) continue;
-    PatternNfa::StateSet q = query.Advance(f.query_states, child->sym);
-    if (q == 0) continue;  // query reaches nothing below; coverage vacuous
-    PatternNfa::StateSet c = cover.Advance(f.cover_states, child->sym);
-    // The trie node IS a stored path word: if the query accepts it the
-    // cover must too, or some node the query can reach is missing from an
-    // index built on the cover pattern.
-    if (query.AnyAccept(q) && !cover.AnyAccept(c)) return false;
-    stack.push_back(Frame{child, 0, q, c});
-  }
-  return true;
 }
 
 size_t PathSummary::path_count() const {

@@ -18,16 +18,15 @@ namespace xqdb {
 /// root-to-node path word occurring in the stored documents, with a
 /// row -> occurrence count at every trie node. Because the collection's
 /// path set is usually tiny compared to the collection itself (DataGuides
-/// collapse repetition), the summary answers three questions without
+/// collapse repetition), the summary answers two questions without
 /// touching a single document:
 ///
 ///   1. Which rows contain a node matching pattern P?  (MatchRows —
-///      a `//a//b` existence probe with docs_scanned = 0)
-///   2. Does any stored path match P at all?  (AnyPathMatches — prunes an
-///      NFA scan before it starts)
-///   3. Is every stored path matched by query pattern Q also matched by
-///      index pattern I?  (MatchedPathsCoveredBy — data-dependent
-///      Definition 1 containment when static containment fails)
+///      the access path of every structural predicate, docs_scanned = 0)
+///   2. Does any stored path match P at all?  (AnyPathMatches — the
+///      emptiness witness behind static folds)
+///
+/// Both are one walk of the trie in product with P's automaton.
 ///
 /// Maintained incrementally: AddDocument / RemoveDocument walk the
 /// document's pre/post interval encoding once (no recursion, no rebuild),
@@ -68,16 +67,6 @@ class PathSummary {
   /// True when at least one live stored path matches `nfa`.
   bool AnyPathMatches(const PatternNfa& nfa, MatchStats* stats) const;
 
-  /// True when every live stored path accepted by `query` is also accepted
-  /// by `cover` — the data-dependent form of pattern containment: on the
-  /// *current* collection, an index built from `cover` contains every node
-  /// `query` can reach. The verdict can be invalidated by later inserts
-  /// (a brand-new path the index misses), so callers must re-check at
-  /// execution time; the walk is over the path trie, not the data, and is
-  /// cheap enough to repeat.
-  bool MatchedPathsCoveredBy(const PatternNfa& query,
-                             const PatternNfa& cover) const;
-
   /// Best-effort "did you mean" for a path the summary proved dead: walks
   /// up to `max_paths` live paths, renders each the way diagnostics spell
   /// paths ("/a/b/@c"), and returns the one closest in edit distance to
@@ -108,6 +97,14 @@ class PathSummary {
 
   /// Finds (optionally creates) the child of `parent` for one path symbol.
   TrieNode* Child(TrieNode* parent, const PathSymbol& sym, bool create);
+
+  /// The product walk of the trie with `nfa`: calls `visit` on each live
+  /// trie node whose path `nfa` accepts, cutting the branches where the
+  /// automaton dies, and stops early when `visit` returns false. The
+  /// document node itself is the caller's case. Caller holds mu_.
+  template <typename Visit>
+  void ForEachAccepted(const PatternNfa& nfa, MatchStats* stats,
+                       const Visit& visit) const;
 
   // Guards everything below (by convention — the trie is walked through
   // raw TrieNode pointers the annotation pass cannot attribute to mu_).

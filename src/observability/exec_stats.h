@@ -81,7 +81,7 @@ struct ExecStats {
   void Merge(const ExecStats& o);
 
   /// One-line JSON object (trace sink, xqdiff divergence reports,
-  /// bench_parallel's reporter).
+  /// xqbench's report).
   std::string ToJson() const;
 
   /// Multi-line "  counter = value" block (EXPLAIN ANALYZE rendering).

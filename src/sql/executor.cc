@@ -430,24 +430,10 @@ Status SqlExecutor::FilterRows(const SqlExpr* where,
 Result<AdmittedRows> ProbeAccessPath(const Table& table,
                                      const AccessPath& path,
                                      ExecStats* stats) {
-  if (path.summary_containment) {
-    // Data-dependent eligibility (summary-derived containment): the claim
-    // depends on the collection's path set at plan time, so re-verify it
-    // against the live summary (a trie walk, not a data scan) and demote
-    // to a scan when DML has grown the path set past the index pattern.
-    const PathSummary* summary = table.path_summary(path.summary_column);
-    if (summary == nullptr || path.summary_nfa == nullptr ||
-        path.containment_nfa == nullptr ||
-        !summary->MatchedPathsCoveredBy(*path.summary_nfa,
-                                        *path.containment_nfa)) {
-      return AdmittedRows();
-    }
-  }
   ProbeStats pstats;
   std::vector<uint32_t> rows;
   switch (path.kind) {
-    case AccessPath::Kind::kIndexRange:
-    case AccessPath::Kind::kIndexStructural: {
+    case AccessPath::Kind::kIndexRange: {
       XQDB_ASSIGN_OR_RETURN(rows,
                             path.index->ProbeRange(path.lo, path.hi, &pstats));
       break;
@@ -636,9 +622,8 @@ Status SqlExecutor::Select(const SelectStmt& stmt, const SelectPlan& plan,
         if (ids.has_value()) {
           for (uint32_t r : *ids) visit(r);
         } else {
-          // Full scan, a demoted stale containment claim, or a join key
-          // that could not be computed (the residual WHERE keeps the
-          // pairing with every inner row exact).
+          // Full scan, or a join key that could not be computed (the
+          // residual WHERE keeps the pairing with every inner row exact).
           const uint32_t n = static_cast<uint32_t>(table->row_count());
           for (uint32_t r = 0; r < n; ++r) visit(r);
         }

@@ -37,11 +37,10 @@ using AdmittedRows = std::optional<std::vector<uint32_t>>;
 
 /// Stage 1 of row selection: the row ids `path` admits as a Definition 1
 /// pre-filter (index range/intersection probes, path-summary existence
-/// probes), metered into `stats`. Admits every row for a full scan, for a
-/// summary-containment claim that DML made stale since planning
-/// (re-verified here against the live summary), and for the kinds answered
-/// elsewhere (kIndexJoinProbe probes per outer row, kIndexOnly is the
-/// standalone XQuery covering gate).
+/// probes against the live DataGuide), metered into `stats`. Admits every
+/// row for a full scan and for the kinds answered elsewhere
+/// (kIndexJoinProbe probes per outer row, kIndexOnly is the standalone
+/// XQuery covering gate).
 Result<AdmittedRows> ProbeAccessPath(const Table& table,
                                      const AccessPath& path,
                                      ExecStats* stats);

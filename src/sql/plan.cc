@@ -28,9 +28,6 @@ std::string AccessPathToString(const AccessPath& path) {
             path.index2->name() + " " + BoundToString(path.lo2, true) +
             " .. " + BoundToString(path.hi2, false);
       break;
-    case AccessPath::Kind::kIndexStructural:
-      out = "XML INDEX STRUCTURAL SCAN " + path.index->name();
-      break;
     case AccessPath::Kind::kIndexJoinProbe:
       out = "XML INDEX NESTED-LOOP PROBE " + path.index->name() +
             " (equality key computed per outer row)";
@@ -66,9 +63,6 @@ std::string AccessPathToString(const AccessPath& path) {
             ", no document access)";
       break;
     }
-  }
-  if (path.summary_containment) {
-    out += " [summary-derived containment]";
   }
   if (!path.summary.empty()) out += "  -- " + path.summary;
   for (const std::string& note : path.notes) {

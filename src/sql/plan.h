@@ -21,7 +21,6 @@ struct AccessPath {
     kFullScan,        // no eligible index
     kIndexRange,      // one B+Tree range/equality probe
     kIndexIntersect,  // two probes ANDed (the §3.10 non-between shape)
-    kIndexStructural, // unbounded varchar probe: "the path exists"
     kIndexJoinProbe,  // per-outer-row equality probe (Tips 5/6)
     kSummaryExistence, // path-summary probe: admits the docs holding a path
     kIndexOnly,       // covering aggregate answered from B+Tree entries
@@ -41,16 +40,9 @@ struct AccessPath {
   const Expr* join_key_expr = nullptr;
   const EmbeddedXQuery* join_source = nullptr;
 
-  // kSummaryExistence, and the data-dependent containment refinement on
-  // kIndexStructural: the compiled query-path automaton to run against the
-  // (table, column)'s path summary, and — for the refinement — the index
-  // pattern automaton the coverage claim must be re-verified against at
-  // execution time (the claim depends on the collection's current path
-  // set, which DML can grow after the plan is cached).
+  // kSummaryExistence: the compiled query-path automaton to run against
+  // the path summary of the table's `summary_column`.
   std::shared_ptr<const PatternNfa> summary_nfa;
-  std::shared_ptr<const PatternNfa> containment_nfa;
-  bool summary_containment = false;
-  std::string summary_table;
   std::string summary_column;
   std::string summary_path_text;
 

@@ -47,7 +47,8 @@ static_assert(RankOrderAllows(LockRank::kXmlIndex, LockRank::kPatternCache));
 static_assert(RankOrderAllows(LockRank::kPatternCache, LockRank::kNamePool));
 
 // Table lookups are constexpr: the hierarchy is queryable at compile time.
-static_assert(FindLockRankRow("epoch.writer") != nullptr);
+// Dereferencing a missing (null) row is not a constant expression, so each
+// ->rank pin also pins that the row exists.
 static_assert(FindLockRankRow("epoch.writer")->rank == LockRank::kEpochWriter);
 static_assert(FindLockRankRow("metrics.registry")->rank == LockRank::kMetrics);
 static_assert(FindLockRankRow("no.such.lock") == nullptr);

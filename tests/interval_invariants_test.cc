@@ -220,27 +220,6 @@ TEST(PathSummaryTest, MatchRowsTracksInsertsAndDeletes) {
   EXPECT_EQ(s.MatchRows(a_c, &stats), (std::vector<uint32_t>{5}));
 }
 
-TEST(PathSummaryTest, CoverageIsDataDependent) {
-  PathSummary s;
-  auto doc = MustParse("<order><lineitem price=\"3\"><price>3</price>"
-                       "</lineitem></order>");
-  s.AddDocument(0, *doc);
-
-  PatternNfa query = MustCompile("//price");
-  PatternNfa cover = MustCompile("/order/lineitem/price");
-  // Statically //price is NOT contained in /order/lineitem/price, but on
-  // this collection every stored //price node lives at that exact path.
-  EXPECT_TRUE(s.MatchedPathsCoveredBy(query, cover));
-
-  // A later insert grows the path set past the cover: the verdict flips,
-  // which is why callers re-check at execution time.
-  auto doc2 = MustParse("<order><summary><price>9</price></summary></order>");
-  s.AddDocument(1, *doc2);
-  EXPECT_FALSE(s.MatchedPathsCoveredBy(query, cover));
-  s.RemoveDocument(1, *doc2);
-  EXPECT_TRUE(s.MatchedPathsCoveredBy(query, cover));
-}
-
 // The concurrency payoff: once a table settles, its documents and summary
 // are immutable and must be safely readable from many threads (this is
 // what lets parallel scans use structural joins). TSan enforces it.

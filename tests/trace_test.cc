@@ -114,6 +114,69 @@ TEST(TraceSummaryProbe, ValuePredicateNarrationAdmitsThenEvaluates) {
   EXPECT_EQ(text->find("note: [XQL015]"), std::string::npos) << *text;
 }
 
+/// Every third order holds <giftwrap/>, and a VARCHAR index on
+/// //giftwrap is eligible for exists(/order/giftwrap). The DataGuide
+/// answers that predicate anyway: it admits exactly the holders and reads
+/// no index entry, while EXPLAIN still names the eligible index.
+class TraceStructuralExistence : public ::testing::Test {
+ protected:
+  static constexpr int kHolders = kCollectionSize / 3;
+
+  void SetUp() override {
+    ASSERT_TRUE(
+        db_.ExecuteSql("CREATE TABLE orders (ordid INTEGER, orddoc XML)")
+            .ok());
+    for (int i = 1; i <= kCollectionSize; ++i) {
+      ASSERT_TRUE(db_.ExecuteSql("INSERT INTO orders VALUES (" +
+                                 std::to_string(i) + ", '<order><custid>" +
+                                 std::to_string(i) + "</custid>" +
+                                 (i % 3 == 0 ? "<giftwrap/>" : "") +
+                                 "</order>')")
+                      .ok());
+    }
+    ASSERT_TRUE(db_.ExecuteSql("CREATE INDEX gw ON orders(orddoc) USING "
+                               "XMLPATTERN '//giftwrap' AS SQL VARCHAR(16)")
+                    .ok());
+  }
+
+  static void ExpectOneProbe(const std::string& plan, const ExecStats& stats) {
+    EXPECT_NE(plan.find("PATH SUMMARY EXISTENCE PROBE /order/giftwrap"),
+              std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find("note: eligible: GW for exists(/order/giftwrap) "
+                        "(structural)"),
+              std::string::npos)
+        << plan;
+    EXPECT_EQ(plan.find("(no eligible index)"), std::string::npos) << plan;
+    EXPECT_EQ(stats.index_entries_probed, 0);
+    EXPECT_EQ(stats.docs_scanned, 0);
+    EXPECT_EQ(stats.index_docs_returned, kHolders);
+  }
+
+  Database db_;
+};
+
+TEST_F(TraceStructuralExistence, SqlXmlExistsProbesTheDataGuide) {
+  const std::string sql =
+      "SELECT ordid FROM orders WHERE XMLEXISTS('$o/order/giftwrap' "
+      "passing orddoc as \"o\")";
+  auto rs = db_.ExecuteSql(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows.size(), static_cast<size_t>(kHolders));
+  auto plan = db_.ExplainSql(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExpectOneProbe(*plan, rs->stats);
+}
+
+TEST_F(TraceStructuralExistence, XQueryProbesTheDataGuide) {
+  auto xr = db_.ExecuteXQuery(
+      "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order[giftwrap] "
+      "return $o/custid");
+  ASSERT_TRUE(xr.ok()) << xr.status().ToString();
+  EXPECT_EQ(xr->rows.size(), static_cast<size_t>(kHolders));
+  ExpectOneProbe(xr->plan, xr->stats);
+}
+
 TEST_F(TraceFixture, ForcedScanReportsCollectionScan) {
   ExecOptions scan;
   scan.force_scan = true;

@@ -719,6 +719,36 @@ std::vector<Row> Table(bool smoke) {
                .options = {.disable_cache = true}, .rows = docs,
                .checks = {Zero(kDocsScanned)},
                .plan = "PATH SUMMARY EXISTENCE PROBE"});
+  // A structural predicate 40 orders hold, with an eligible VARCHAR index
+  // of the same pattern, of every element, or with none: the DataGuide
+  // admits exactly the 40 holders and no index entry is read.
+  std::string giftwraps = "INSERT INTO orders VALUES ";
+  for (int i = 0; i < 40; ++i) {
+    giftwraps += (i > 0 ? ", (" : "(") + std::to_string(900000 + i) +
+                 ", '<order><custid>" + std::to_string(i) +
+                 "</custid><giftwrap/></order>')";
+  }
+  for (const auto& [label, index] :
+       {std::pair{"same_pattern_index",
+                  "CREATE INDEX gw ON orders(orddoc) USING XMLPATTERN "
+                  "'//giftwrap' AS SQL VARCHAR(16)"},
+        {"everything_index",
+         "CREATE INDEX everything ON orders(orddoc) USING XMLPATTERN '//*' "
+         "AS SQL VARCHAR(64)"},
+        {"no_index", ""}}) {
+    std::vector<std::string> ddl = {giftwraps};
+    if (*index != '\0') ddl.push_back(index);
+    t.push_back({.name = std::string("E-axes/existence_") + label,
+                 .orders = orders(4000), .ddl = std::move(ddl),
+                 .text = "SELECT ordid FROM orders WHERE XMLEXISTS("
+                         "'$o/order/giftwrap' passing orddoc as \"o\")",
+                 .rows = 40,
+                 .checks = {Zero(kProbed), Zero(kDocsScanned)},
+                 .plan = "PATH SUMMARY EXISTENCE PROBE"});
+    if (*index != '\0') {
+      t.back().pairs = {{"E-axes/existence_no_index", {}, 0}};
+    }
+  }
 
   // E-btree — the B+Tree under every value index against std::multimap;
   // the same sizes in --smoke.
@@ -957,6 +987,11 @@ Measured Measure(const Row& row, Database* db, int axes_docs) {
   }
   std::sort(m.ns.begin(), m.ns.end());
   if (row.timed == Timed::kQuery) m.lint = LintCodes(db, row.text);
+  if (!row.plan.empty() && IsSql(row.text)) {
+    // An SQL result carries no plan text; EXPLAIN plans the same statement.
+    auto plan = db->ExplainSql(row.text);
+    if (plan.ok()) m.plan = *plan;
+  }
   return m;
 }
 
